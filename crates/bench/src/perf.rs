@@ -36,7 +36,7 @@ use np_circuit::sta::TimingContext;
 use np_device::Mosfet;
 use np_grid::cg::{solve_cg, solve_pcg, solve_pcg_parallel};
 use np_grid::mesh::MeshCache;
-use np_grid::multigrid::{solve_mgcg_sharded, solve_multigrid_sharded};
+use np_grid::multigrid::{solve_mgcg, solve_multigrid};
 use np_grid::plan::thread_budget;
 use np_grid::solver::MeshProblem;
 use np_roadmap::TechNode;
@@ -215,12 +215,8 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             });
         }
         if n <= 513 {
-            group.bench_function("grid.mg.seq", |b| {
-                b.iter(|| solve_multigrid_sharded(black_box(&m), 1))
-            });
-            group.bench_function("grid.mgcg.seq", |b| {
-                b.iter(|| solve_mgcg_sharded(black_box(&m), 1))
-            });
+            group.bench_function("grid.mg.seq", |b| b.iter(|| solve_multigrid(black_box(&m))));
+            group.bench_function("grid.mgcg.seq", |b| b.iter(|| solve_mgcg(black_box(&m))));
         }
         if n <= 129 {
             // Warm-path cache: prime once, then time the hit + warm-start.
@@ -268,14 +264,9 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             group.bench_function(format!("grid.pcg.par/s{s}"), |b| {
                 b.iter(|| solve_pcg_parallel(black_box(&m), s))
             });
-            group.bench_function(format!("grid.mg.par/s{s}"), |b| {
-                b.iter(|| solve_multigrid_sharded(black_box(&m), s))
-            });
         }
         group.finish();
-        for (i, r) in criterion.records().iter().skip(consumed).enumerate() {
-            // Two kernels per shard count, in push order.
-            let s = shard_counts[i / 2];
+        for (r, &s) in criterion.records().iter().skip(consumed).zip(&shard_counts) {
             let name = r
                 .name
                 .split('/')
@@ -304,10 +295,10 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             let _ = solve_pcg(&m);
         });
         let (mg_ns, mg_sweeps) = timed_counted("grid.mg.sweeps_equivalent", || {
-            let _ = solve_multigrid_sharded(&m, 1);
+            let _ = solve_multigrid(&m);
         });
         let (mgcg_ns, mgcg_sweeps) = timed_counted("grid.mgcg.sweeps_equivalent", || {
-            let _ = solve_mgcg_sharded(&m, 1);
+            let _ = solve_mgcg(&m);
         });
         if !opts.quick && n > 513 {
             // The 1025 tail is too expensive for repeated criterion
@@ -757,17 +748,15 @@ mod tests {
             .kernels
             .iter()
             .any(|k| k.name == "opt.parallel.round" && k.shards == report.shards));
-        // The shard sweep ran both parallel kernels at every count.
+        // The shard sweep ran the parallel kernel at every count.
         for &s in &[1usize, 2] {
-            for name in ["grid.pcg.par", "grid.mg.par"] {
-                assert!(
-                    report
-                        .kernels
-                        .iter()
-                        .any(|k| k.name == name && k.shards == s && k.mean_ns > 0.0),
-                    "{name} missing at shards={s}"
-                );
-            }
+            assert!(
+                report
+                    .kernels
+                    .iter()
+                    .any(|k| k.name == "grid.pcg.par" && k.shards == s && k.mean_ns > 0.0),
+                "grid.pcg.par missing at shards={s}"
+            );
         }
         // The comparison block proves the acceptance ratio even in
         // quick mode (the margin grows with mesh size; 33 is its floor).

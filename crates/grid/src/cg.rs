@@ -27,44 +27,9 @@
 use crate::error::GridError;
 use crate::shard::{self, AtomicF64Vec};
 use crate::solver::MeshProblem;
+use crate::stencil::{self, Stencil};
 use np_units::convergence::{Breakdown, ResidualTrace};
 use std::sync::{Barrier, Mutex, PoisonError};
-
-/// Applies the mesh Laplacian `G·v` (pinned nodes held at zero).
-///
-/// Shared with [`crate::multigrid`], whose outer MGCG iteration runs the
-/// same mat-vec.
-pub(crate) fn apply(m: &MeshProblem, v: &[f64], out: &mut [f64]) {
-    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-    for y in 0..ny {
-        for x in 0..nx {
-            let i = y * nx + x;
-            if m.pinned[i] {
-                out[i] = v[i]; // identity row for pinned nodes
-                continue;
-            }
-            let mut acc = 0.0;
-            let mut deg = 0.0;
-            if x > 0 {
-                acc += if m.pinned[i - 1] { 0.0 } else { v[i - 1] };
-                deg += 1.0;
-            }
-            if x + 1 < nx {
-                acc += if m.pinned[i + 1] { 0.0 } else { v[i + 1] };
-                deg += 1.0;
-            }
-            if y > 0 {
-                acc += if m.pinned[i - nx] { 0.0 } else { v[i - nx] };
-                deg += 1.0;
-            }
-            if y + 1 < ny {
-                acc += if m.pinned[i + nx] { 0.0 } else { v[i + nx] };
-                deg += 1.0;
-            }
-            out[i] = g * (deg * v[i] - acc);
-        }
-    }
-}
 
 /// Solves the mesh by conjugate gradients.
 ///
@@ -118,8 +83,7 @@ fn cg_iterate(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
             if rs_old.sqrt() <= tol {
                 break 'solve Ok(x);
             }
-            apply(m, &p, &mut ap);
-            let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
+            let p_ap = stencil::apply_dot(&Stencil::of(m), &p, &mut ap);
             if !p_ap.is_finite() {
                 break 'solve Err(GridError::NoConvergence {
                     diag: trace.diagnostic(Breakdown::NonFinite {
@@ -291,9 +255,8 @@ fn pcg_start(
                     *xi = 0.0; // pinned nodes stay exactly at the bump rail
                 }
             }
-            let mut ax = vec![0.0; n];
-            apply(m, &x, &mut ax);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(b, ax)| b - ax).collect();
+            let mut r = vec![0.0; n];
+            stencil::residual(&Stencil::of(m), &x, &b, &mut r);
             (x, r)
         }
         None => (vec![0.0; n], b.clone()),
@@ -340,8 +303,7 @@ fn pcg_iterate(
             if rr.sqrt() <= tol {
                 break 'solve Ok(x);
             }
-            apply(m, &p, &mut ap);
-            let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
+            let p_ap = stencil::apply_dot(&Stencil::of(m), &p, &mut ap);
             if !p_ap.is_finite() {
                 break 'solve Err(GridError::NoConvergence {
                     diag: trace.diagnostic(Breakdown::NonFinite {
@@ -595,10 +557,9 @@ fn pcg_parallel_iterate(
 }
 
 /// One row of the mesh Laplacian `(G·v)_i`, reading `v` through the
-/// shared atomic vector; mirrors [`apply`] exactly. Shared with
-/// [`crate::multigrid`]'s per-level residual evaluation.
+/// shared atomic vector; the same arithmetic as the slice mat-vec.
 #[inline]
-pub(crate) fn apply_row_atomic(m: &MeshProblem, v: &AtomicF64Vec, i: usize) -> f64 {
+fn apply_row_atomic(m: &MeshProblem, v: &AtomicF64Vec, i: usize) -> f64 {
     let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
     if m.pinned[i] {
         return v.get(i); // identity row for pinned nodes
@@ -661,7 +622,7 @@ mod tests {
         let m = loaded_mesh(9);
         let v = solve_cg(&m).unwrap();
         let mut gv = vec![0.0; v.len()];
-        apply(&m, &v, &mut gv);
+        stencil::apply_dot(&Stencil::of(&m), &v, &mut gv);
         for (i, g) in gv.iter().enumerate() {
             if !m.pinned[i] {
                 assert!(

@@ -53,9 +53,13 @@ pub mod hotspot;
 pub mod mcml;
 pub mod mesh;
 pub mod multigrid;
+#[cfg(any(test, feature = "kernel-oracle"))]
+#[doc(hidden)]
+pub mod oracle;
 pub mod plan;
 pub mod shard;
 pub mod solver;
+mod stencil;
 pub mod transient;
 
 pub use error::GridError;

@@ -297,9 +297,9 @@ impl MeshCache {
                 };
                 let x0 = entry.warm_mg.as_deref();
                 let v = if strategy == SolveStrategy::Multigrid {
-                    solve_multigrid_warm(&m, hier, shards, x0)?
+                    solve_multigrid_warm(&m, hier, x0)?
                 } else {
-                    solve_mgcg_warm(&m, hier, shards, x0)?
+                    solve_mgcg_warm(&m, hier, x0)?
                 };
                 entry.warm_mg = Some(v.clone());
                 v

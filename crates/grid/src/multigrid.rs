@@ -6,9 +6,8 @@
 //! A V-cycle then drives every error wavelength at the level where it is
 //! cheap to damp:
 //!
-//! 1. **smooth** — a few red-black Gauss-Seidel sweeps (the `ω = 1`
-//!    special case of the SOR half-sweep the parallel SOR solver already
-//!    shards) kill the high-frequency error;
+//! 1. **smooth** — a few red-black Gauss-Seidel sweeps (SOR at `ω = 1`)
+//!    kill the high-frequency error;
 //! 2. **restrict** — the remaining smooth residual moves to the next
 //!    coarser grid by full weighting (the 9-point `1/16·[1 2 1; 2 4 2;
 //!    1 2 1]` stencil), scaled by 4 because the coarse `g·L` operator
@@ -24,11 +23,9 @@
 //! O(N) where CG-family methods are O(N^1.5). Two entry families are
 //! exposed:
 //!
-//! * [`solve_multigrid`] / [`solve_multigrid_sharded`] /
-//!   [`solve_multigrid_warm`] — the standalone V-cycle iteration, bitwise
-//!   deterministic for every shard count (smoothing shards are the
-//!   bitwise-identical red-black pass; every reduction is sequential);
-//! * [`solve_mgcg`] / [`solve_mgcg_sharded`] / [`solve_mgcg_warm`] — CG
+//! * [`solve_multigrid`] / [`solve_multigrid_warm`] — the standalone
+//!   V-cycle iteration;
+//! * [`solve_mgcg`] / [`solve_mgcg_warm`] — CG
 //!   preconditioned by one V-cycle (symmetrized: red-black pre-sweeps,
 //!   black-red post-sweeps, near-exact coarse solve), the robust choice
 //!   [`crate::plan::SolvePlan`] auto-selects on large compatible meshes.
@@ -40,13 +37,17 @@
 //! restriction/interpolation error only costs convergence *rate*, never
 //! correctness — acceptance is always the fine-grid residual reaching
 //! the CG-family tolerance `1e-12·‖b‖`.
+//!
+//! Both families run sequentially on the crate's slice kernels (the
+//! `stencil` module) and are bitwise deterministic: the result is a
+//! pure function of the problem. Smoothing is not sharded: row bands
+//! measured 1.0× at 2 shards on a 1025² MGCG solve.
 
-use crate::cg::{apply, apply_row_atomic, solve_pcg};
+use crate::cg::solve_pcg;
 use crate::error::GridError;
-use crate::shard::{self, AtomicF64Vec};
-use crate::solver::{sor_color_pass, MeshProblem};
+use crate::solver::MeshProblem;
+use crate::stencil::{self, Stencil};
 use np_units::convergence::{Breakdown, ResidualTrace};
-use std::sync::Barrier;
 
 /// Coarsening stops once a level reaches this many nodes per side; the
 /// resulting ≤ 9×9 system is handed to the (near-exact) PCG coarse
@@ -64,18 +65,6 @@ const POST_SWEEPS: usize = 2;
 /// V-cycle budget for the standalone solver; typical loaded meshes
 /// converge in 10–20 cycles regardless of size.
 const MAX_CYCLES: usize = 100;
-
-/// Levels below this node count always smooth sequentially — the same
-/// break-even as [`crate::plan::AUTO_PARALLEL_THRESHOLD`]: barrier
-/// overhead beats the work saved on small grids.
-const LEVEL_PARALLEL_MIN: usize = 16_384;
-
-/// The full-weighting restriction stencil, `[dy+1][dx+1]`-indexed.
-const FW_WEIGHTS: [[f64; 3]; 3] = [
-    [1.0 / 16.0, 1.0 / 8.0, 1.0 / 16.0],
-    [1.0 / 8.0, 1.0 / 4.0, 1.0 / 8.0],
-    [1.0 / 16.0, 1.0 / 8.0, 1.0 / 16.0],
-];
 
 /// Whether an `n`-node-per-side dimension fits the 2^k+1 coarsening
 /// ladder.
@@ -109,8 +98,8 @@ struct LevelShape {
 /// m.pinned[centre] = true;
 /// let hier = MgHierarchy::new(&m)?;
 /// assert_eq!(hier.levels(), 3); // 33 -> 17 -> 9
-/// let cold = solve_multigrid_warm(&m, &hier, 1, None)?;
-/// let warm = solve_multigrid_warm(&m, &hier, 1, Some(&cold))?;
+/// let cold = solve_multigrid_warm(&m, &hier, None)?;
+/// let warm = solve_multigrid_warm(&m, &hier, Some(&cold))?;
 /// assert_eq!(cold, warm); // warm start from the solution is a no-op
 /// # Ok::<(), np_grid::GridError>(())
 /// ```
@@ -209,210 +198,128 @@ fn coarsen_pins(fine: &LevelShape, nxc: usize, nyc: usize) -> Vec<bool> {
     pinned
 }
 
-/// Per-solve mutable state of one level: the correction problem (its
-/// `injection` rewritten every cycle), the level solution, and a
-/// residual scratch vector.
+/// Per-solve mutable state of one level: the level solution, a residual
+/// scratch vector, and — below the finest level, whose right-hand side
+/// the caller passes in — the restricted right-hand side `b` of the
+/// level's correction system `A·v = b`.
 struct LevelState {
-    m: MeshProblem,
-    x: AtomicF64Vec,
+    x: Vec<f64>,
     r: Vec<f64>,
+    b: Vec<f64>,
 }
 
-/// Materializes the per-level solve state from a hierarchy; level 0
-/// carries the caller's problem verbatim.
-fn make_workspace(m: &MeshProblem, hier: &MgHierarchy) -> Vec<LevelState> {
-    let mut levels = Vec::with_capacity(hier.levels.len());
-    let n0 = m.nx * m.ny;
-    levels.push(LevelState {
-        m: m.clone(),
-        x: AtomicF64Vec::zeros(n0),
-        r: vec![0.0; n0],
-    });
-    for shape in &hier.levels[1..] {
-        let n = shape.nx * shape.ny;
-        levels.push(LevelState {
-            m: MeshProblem {
-                nx: shape.nx,
-                ny: shape.ny,
-                edge_conductance: hier.edge_conductance,
-                injection: vec![0.0; n],
-                pinned: shape.pinned.clone(),
-            },
-            x: AtomicF64Vec::zeros(n),
-            r: vec![0.0; n],
-        });
-    }
-    levels
+/// The per-solve buffers of a V-cycle over one [`MgHierarchy`].
+struct Workspace<'h> {
+    hier: &'h MgHierarchy,
+    levels: Vec<LevelState>,
+    /// The coarsest level as a mesh problem for the PCG coarse solve;
+    /// its `injection` is rewritten every cycle.
+    coarsest: MeshProblem,
 }
 
-/// `sweeps` Gauss-Seidel sweeps over `m`, each visiting `colors[0]` then
-/// `colors[1]`, sharded across row bands when `shards > 1`.
-///
-/// Same-color nodes are independent, so the sharded schedule performs
-/// exactly the sequential arithmetic — the result is bitwise identical
-/// for every shard count (the property the parallel SOR solver already
-/// proves; this is the same pass at `ω = 1`).
-fn smooth(m: &MeshProblem, x: &AtomicF64Vec, sweeps: usize, colors: [usize; 2], shards: usize) {
-    if sweeps == 0 {
-        return;
-    }
-    let shards = shard::clamp_shards(shards, m.ny);
-    if shards == 1 {
-        for _ in 0..sweeps {
-            for color in colors {
-                let _ = sor_color_pass(m, x, 0..m.ny, color, 1.0);
-            }
-        }
-        return;
-    }
-    let bands = shard::row_bands(m.ny, shards);
-    let barrier = Barrier::new(shards);
-    std::thread::scope(|scope| {
-        for band in bands {
-            let (barrier, x) = (&barrier, x);
-            scope.spawn(move || {
-                for _ in 0..sweeps {
-                    for color in colors {
-                        let _ = sor_color_pass(m, x, band.clone(), color, 1.0);
-                        // Cross-band reads of this color's values happen
-                        // in the next half-sweep; the final barrier's
-                        // happens-before is subsumed by the scope join.
-                        barrier.wait();
-                    }
+impl<'h> Workspace<'h> {
+    fn new(hier: &'h MgHierarchy) -> Result<Self, GridError> {
+        let Some(last) = hier.levels.last() else {
+            return Err(GridError::BadParameter("multigrid hierarchy is empty"));
+        };
+        let levels = hier
+            .levels
+            .iter()
+            .enumerate()
+            .map(|(depth, shape)| {
+                let n = shape.nx * shape.ny;
+                LevelState {
+                    x: vec![0.0; n],
+                    r: vec![0.0; n],
+                    b: if depth == 0 { Vec::new() } else { vec![0.0; n] },
                 }
-            });
-        }
-    });
-}
-
-/// `r = b − A·x` for the level problem (`b` being `−injection` at free
-/// nodes, `0` at pinned ones — where `x` is held at `0`, so `r` is `0`
-/// there too).
-fn residual(m: &MeshProblem, x: &AtomicF64Vec, r: &mut [f64]) {
-    let n = m.nx * m.ny;
-    for (i, ri) in r.iter_mut().enumerate().take(n) {
-        let b = if m.pinned[i] { 0.0 } else { -m.injection[i] };
-        *ri = b - apply_row_atomic(m, x, i);
+            })
+            .collect();
+        let coarsest = MeshProblem {
+            nx: last.nx,
+            ny: last.ny,
+            edge_conductance: hier.edge_conductance,
+            injection: vec![0.0; last.nx * last.ny],
+            pinned: last.pinned.clone(),
+        };
+        Ok(Self {
+            hier,
+            levels,
+            coarsest,
+        })
     }
-}
 
-/// Full-weighting restriction of the fine residual into the coarse
-/// level's correction problem.
-///
-/// The coarse operator is the same `g·L` graph Laplacian, which in
-/// continuum terms discretizes a `(2h)²` cell — so the restricted
-/// residual scales by 4 per coarsening. Stencil taps falling outside the
-/// grid (or on a pinned fine node, whose residual is zero) contribute
-/// nothing; boundary underweighting costs rate, not correctness.
-fn restrict_residual(fine: &MeshProblem, r: &[f64], coarse: &mut MeshProblem) {
-    let (nxf, nyf) = (fine.nx as isize, fine.ny as isize);
-    let nxc = coarse.nx;
-    for yc in 0..coarse.ny {
-        for xc in 0..nxc {
-            let ic = yc * nxc + xc;
-            if coarse.pinned[ic] {
-                coarse.injection[ic] = 0.0;
-                continue;
+    fn stencil(&self, depth: usize) -> Stencil<'h> {
+        let shape = &self.hier.levels[depth];
+        Stencil {
+            nx: shape.nx,
+            ny: shape.ny,
+            g: self.hier.edge_conductance,
+            pinned: &shape.pinned,
+        }
+    }
+
+    /// The finest level's solution.
+    fn fine_x(&self) -> &[f64] {
+        self.levels.first().map_or(&[], |lvl| &lvl.x)
+    }
+
+    /// One V-cycle on `A·x = b` at `depth`, improving that level's `x`
+    /// in place.
+    ///
+    /// `work` accumulates fine-grid-sweep equivalents: each sweep at a
+    /// level counts as its node-count fraction of the finest grid, plus
+    /// two sweeps' worth per level visit for the residual/restrict/
+    /// prolongate passes — the currency the bench harness compares
+    /// against PCG iteration counts.
+    fn v_cycle(
+        &mut self,
+        depth: usize,
+        b: &[f64],
+        fine_nodes: f64,
+        work: &mut f64,
+    ) -> Result<(), GridError> {
+        let _level_span = np_telemetry::shard_span("grid.mg.level", depth);
+        let s = self.stencil(depth);
+        let nodes = (s.nx * s.ny) as f64;
+        if depth + 1 == self.levels.len() {
+            // Coarsest grid: a ≤ 9×9 system, solved near-exactly. The
+            // solver takes the load `I = −b` (zero at pins).
+            for ((inj, &bi), &p) in self.coarsest.injection.iter_mut().zip(b).zip(s.pinned) {
+                *inj = if p { 0.0 } else { -bi };
             }
-            let (fx, fy) = (2 * xc as isize, 2 * yc as isize);
-            let mut acc = 0.0;
-            for dy in -1i32..=1 {
-                for dx in -1i32..=1 {
-                    let (px, py) = (fx + dx as isize, fy + dy as isize);
-                    if px < 0 || py < 0 || px >= nxf || py >= nyf {
-                        continue;
-                    }
-                    #[allow(clippy::cast_sign_loss)]
-                    let fi = (py * nxf + px) as usize;
-                    acc += FW_WEIGHTS[(dy + 1) as usize][(dx + 1) as usize] * r[fi];
-                }
-            }
-            // Solver convention: the level solves A·v = −injection.
-            coarse.injection[ic] = -(4.0 * acc);
+            let v = solve_pcg(&self.coarsest)?;
+            self.levels[depth].x.copy_from_slice(&v);
+            *work += nodes / fine_nodes;
+            return Ok(());
         }
+        let coarse = self.stencil(depth + 1);
+        let (cur, rest) = self.levels[depth..].split_at_mut(1);
+        let (cur, next) = (&mut cur[0], &mut rest[0]);
+        stencil::smooth(&s, &mut cur.x, b, PRE_SWEEPS, 0);
+        stencil::residual(&s, &cur.x, b, &mut cur.r);
+        stencil::restrict(&s, &cur.r, &coarse, &mut next.b);
+        next.x.fill(0.0);
+        let next_b = std::mem::take(&mut next.b);
+        let cycled = self.v_cycle(depth + 1, &next_b, fine_nodes, work);
+        self.levels[depth + 1].b = next_b;
+        cycled?;
+        let (cur, rest) = self.levels[depth..].split_at_mut(1);
+        stencil::prolong_add(&coarse, &rest[0].x, &s, &mut cur[0].x);
+        stencil::smooth(&s, &mut cur[0].x, b, POST_SWEEPS, 1);
+        *work += ((PRE_SWEEPS + POST_SWEEPS) as f64 + 2.0) * nodes / fine_nodes;
+        Ok(())
     }
 }
 
-/// Adds the bilinear interpolation of the coarse correction into the
-/// fine solution; pinned fine nodes stay exactly at the rail.
-fn prolong_add(coarse: &MeshProblem, xc: &AtomicF64Vec, fine: &MeshProblem, x: &AtomicF64Vec) {
-    let nxc = coarse.nx;
-    let at = |cx: usize, cy: usize| xc.get(cy * nxc + cx);
-    for fy in 0..fine.ny {
-        for fx in 0..fine.nx {
-            let i = fy * fine.nx + fx;
-            if fine.pinned[i] {
-                continue;
-            }
-            let (cx, cy) = (fx / 2, fy / 2);
-            let corr = match (fx % 2, fy % 2) {
-                (0, 0) => at(cx, cy),
-                (1, 0) => 0.5 * (at(cx, cy) + at(cx + 1, cy)),
-                (0, 1) => 0.5 * (at(cx, cy) + at(cx, cy + 1)),
-                _ => 0.25 * (at(cx, cy) + at(cx + 1, cy) + at(cx, cy + 1) + at(cx + 1, cy + 1)),
-            };
-            x.set(i, x.get(i) + corr);
-        }
-    }
-}
-
-/// One V-cycle over `levels` (the slice starting at the current level).
-///
-/// `work` accumulates fine-grid-sweep equivalents: each sweep at a level
-/// counts as its node-count fraction of the finest grid, plus two
-/// sweeps' worth per level visit for the residual/restrict/prolongate
-/// passes — the currency the bench harness compares against PCG
-/// iteration counts.
-fn v_cycle(
-    levels: &mut [LevelState],
-    depth: usize,
-    shards: usize,
-    fine_nodes: f64,
-    work: &mut f64,
-) -> Result<(), GridError> {
-    let Some((cur, rest)) = levels.split_first_mut() else {
-        return Err(GridError::BadParameter("multigrid hierarchy is empty"));
-    };
-    let _level_span = np_telemetry::shard_span("grid.mg.level", depth);
-    let nodes = (cur.m.nx * cur.m.ny) as f64;
-    if rest.is_empty() {
-        // Coarsest grid: a ≤ 9×9 system, solved near-exactly.
-        let v = solve_pcg(&cur.m)?;
-        for (i, value) in v.iter().enumerate() {
-            cur.x.set(i, *value);
-        }
-        *work += nodes / fine_nodes;
-        return Ok(());
-    }
-    let level_shards = if nodes as usize >= LEVEL_PARALLEL_MIN {
-        shards
-    } else {
-        1
-    };
-    smooth(&cur.m, &cur.x, PRE_SWEEPS, [0, 1], level_shards);
-    residual(&cur.m, &cur.x, &mut cur.r);
-    let next = &mut rest[0];
-    restrict_residual(&cur.m, &cur.r, &mut next.m);
-    for i in 0..next.x.len() {
-        next.x.set(i, 0.0);
-    }
-    v_cycle(rest, depth + 1, shards, fine_nodes, work)?;
-    let next = &rest[0];
-    prolong_add(&next.m, &next.x, &cur.m, &cur.x);
-    smooth(&cur.m, &cur.x, POST_SWEEPS, [1, 0], level_shards);
-    *work += ((PRE_SWEEPS + POST_SWEEPS) as f64 + 2.0) * nodes / fine_nodes;
-    Ok(())
-}
-
-/// Squared-norm of the level-0 residual, recomputed from scratch
-/// (sequentially, so the convergence decision is bitwise independent of
-/// the shard count).
-fn fine_residual_norm(levels: &mut [LevelState]) -> f64 {
-    let Some(lvl) = levels.first_mut() else {
-        return f64::NAN;
-    };
-    residual(&lvl.m, &lvl.x, &mut lvl.r);
-    lvl.r.iter().map(|v| v * v).sum::<f64>().sqrt()
+/// The right-hand side `b` of the mesh system `A·x = b`: `−I` at free
+/// nodes, `0` at pins.
+fn rhs(m: &MeshProblem) -> Vec<f64> {
+    m.injection
+        .iter()
+        .zip(&m.pinned)
+        .map(|(&i, &p)| if p { 0.0 } else { -i })
+        .collect()
 }
 
 /// The coupling `1ᵀ·A·1` of the all-ones free-node vector: `g` times the
@@ -461,15 +368,20 @@ fn pin_coupling(m: &MeshProblem) -> f64 {
 /// fully-pinned-boundary case. With no free→pinned edge the step is
 /// skipped (`coupling = 0` cannot happen on a validated mesh, which
 /// requires at least one pin).
-fn deflate_constant_mode(m: &MeshProblem, x: &AtomicF64Vec, r: &[f64], coupling: f64) {
+fn deflate_constant_mode(pinned: &[bool], x: &mut [f64], r: &[f64], coupling: f64) {
     if coupling <= 0.0 {
         return;
     }
-    let mass: f64 = (0..r.len()).filter(|&i| !m.pinned[i]).map(|i| r[i]).sum();
+    let mass: f64 = r
+        .iter()
+        .zip(pinned)
+        .filter(|(_, &p)| !p)
+        .map(|(r, _)| r)
+        .sum();
     let alpha = mass / coupling;
-    for i in 0..r.len() {
-        if !m.pinned[i] {
-            x.set(i, x.get(i) + alpha);
+    for (xi, &p) in x.iter_mut().zip(pinned) {
+        if !p {
+            *xi += alpha;
         }
     }
 }
@@ -512,27 +424,12 @@ fn check_warm_len(m: &MeshProblem, x0: Option<&[f64]>) -> Result<(), GridError> 
 /// a dimension is not `2^k+1`; [`GridError::NoConvergence`] when the
 /// cycle budget runs out.
 pub fn solve_multigrid(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
-    solve_multigrid_sharded(m, 1)
-}
-
-/// [`solve_multigrid`] with smoothing sharded across `shards` row bands
-/// on levels large enough to profit.
-///
-/// Bitwise identical to the sequential solve for every shard count: the
-/// red-black half-sweeps perform identical arithmetic regardless of
-/// banding, and every reduction (residual norms, transfers, the coarse
-/// solve) runs sequentially.
-///
-/// # Errors
-///
-/// Exactly those of [`solve_multigrid`].
-pub fn solve_multigrid_sharded(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
     let hier = MgHierarchy::new(m)?;
-    solve_multigrid_warm(m, &hier, shards, None)
+    solve_multigrid_warm(m, &hier, None)
 }
 
-/// [`solve_multigrid_sharded`] with a reusable [`MgHierarchy`] and an
-/// optional warm start (pinned entries of `x0` are forced to zero).
+/// [`solve_multigrid`] with a reusable [`MgHierarchy`] and an optional
+/// warm start (pinned entries of `x0` are forced to zero).
 ///
 /// # Errors
 ///
@@ -541,7 +438,6 @@ pub fn solve_multigrid_sharded(m: &MeshProblem, shards: usize) -> Result<Vec<f64
 pub fn solve_multigrid_warm(
     m: &MeshProblem,
     hier: &MgHierarchy,
-    shards: usize,
     x0: Option<&[f64]>,
 ) -> Result<Vec<f64>, GridError> {
     m.validate()?;
@@ -560,13 +456,12 @@ pub fn solve_multigrid_warm(
         return Ok(vec![0.0; n]);
     }
     let tol = 1e-12 * b_norm_sq.sqrt().max(1e-300);
-    let mut levels = make_workspace(m, hier);
+    let b = rhs(m);
+    let mut ws = Workspace::new(hier)?;
+    let s = Stencil::of(m);
     if let Some(seed) = x0 {
-        let Some(fine) = levels.first_mut() else {
-            return Err(GridError::BadParameter("multigrid hierarchy is empty"));
-        };
-        for (i, v) in seed.iter().enumerate() {
-            fine.x.set(i, if m.pinned[i] { 0.0 } else { *v });
+        for ((xi, &v), &p) in ws.levels[0].x.iter_mut().zip(seed).zip(&m.pinned) {
+            *xi = if p { 0.0 } else { v };
         }
     }
     let fine_nodes = n as f64;
@@ -578,7 +473,10 @@ pub fn solve_multigrid_warm(
     let mut stalled: usize = 0;
     let mut trace = ResidualTrace::new();
     let result = loop {
-        let rnorm = fine_residual_norm(&mut levels);
+        // The true fine residual, recomputed from scratch every cycle.
+        let fine = &mut ws.levels[0];
+        stencil::residual(&s, &fine.x, &b, &mut fine.r);
+        let rnorm = fine.r.iter().map(|v| v * v).sum::<f64>().sqrt();
         final_rnorm = rnorm;
         trace.record(rnorm);
         work += 1.0; // the fine residual evaluation itself
@@ -619,11 +517,8 @@ pub fn solve_multigrid_warm(
                 })
             };
         }
-        if let Some(fine) = levels.first() {
-            // The residual in fine.r is current (just computed above).
-            deflate_constant_mode(&fine.m, &fine.x, &fine.r, coupling);
-        }
-        if let Err(e) = v_cycle(&mut levels, 0, shards, fine_nodes, &mut work) {
+        deflate_constant_mode(&m.pinned, &mut fine.x, &fine.r, coupling);
+        if let Err(e) = ws.v_cycle(0, &b, fine_nodes, &mut work) {
             break Err(e);
         }
         cycles += 1;
@@ -632,7 +527,7 @@ pub fn solve_multigrid_warm(
     np_telemetry::counter("grid.mg.sweeps_equivalent", work.round() as u64);
     np_telemetry::value("grid.mg.sweeps_equivalent", work);
     np_telemetry::value("grid.mg.final_residual", final_rnorm);
-    result.map(|()| levels.first().map(|lvl| lvl.x.to_vec()).unwrap_or_default())
+    result.map(|()| ws.levels.swap_remove(0).x)
 }
 
 /// Solves the mesh by multigrid-preconditioned conjugate gradients
@@ -644,29 +539,18 @@ pub fn solve_multigrid_warm(
 /// O(N)), and tolerates rough patches — irregular pin clusters, strong
 /// local corrections — that can slow the standalone V-cycle, which is
 /// why [`crate::plan::SolvePlan`]'s auto heuristic picks MGCG on large
-/// compatible meshes.
+/// compatible meshes. Bitwise deterministic, like [`solve_multigrid`].
 ///
 /// # Errors
 ///
 /// Exactly those of [`solve_multigrid`].
 pub fn solve_mgcg(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
-    solve_mgcg_sharded(m, 1)
-}
-
-/// [`solve_mgcg`] with sharded smoothing inside the preconditioner (see
-/// [`solve_multigrid_sharded`]; MGCG is likewise bitwise deterministic
-/// for every shard count).
-///
-/// # Errors
-///
-/// Exactly those of [`solve_multigrid`].
-pub fn solve_mgcg_sharded(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
     let hier = MgHierarchy::new(m)?;
-    solve_mgcg_warm(m, &hier, shards, None)
+    solve_mgcg_warm(m, &hier, None)
 }
 
-/// [`solve_mgcg_sharded`] with a reusable [`MgHierarchy`] and an
-/// optional warm start.
+/// [`solve_mgcg`] with a reusable [`MgHierarchy`] and an optional warm
+/// start.
 ///
 /// # Errors
 ///
@@ -675,7 +559,6 @@ pub fn solve_mgcg_sharded(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, Gr
 pub fn solve_mgcg_warm(
     m: &MeshProblem,
     hier: &MgHierarchy,
-    shards: usize,
     x0: Option<&[f64]>,
 ) -> Result<Vec<f64>, GridError> {
     m.validate()?;
@@ -683,53 +566,48 @@ pub fn solve_mgcg_warm(
     check_warm_len(m, x0)?;
     let _span = np_telemetry::span("grid.mgcg.solve");
     let n = m.nx * m.ny;
-    let b: Vec<f64> = (0..n)
-        .map(|i| if m.pinned[i] { 0.0 } else { -m.injection[i] })
-        .collect();
+    let s = Stencil::of(m);
+    let b = rhs(m);
     if b.iter().all(|&v| v == 0.0) {
         return Ok(vec![0.0; n]); // see solve_multigrid_warm
     }
-    let mut levels = make_workspace(m, hier);
+    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
     let (mut x, mut r) = match x0 {
         Some(seed) => {
-            let mut x = seed.to_vec();
-            for (i, xi) in x.iter_mut().enumerate() {
-                if m.pinned[i] {
-                    *xi = 0.0;
-                }
-            }
-            let mut ax = vec![0.0; n];
-            apply(m, &x, &mut ax);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(b, ax)| b - ax).collect();
+            let x: Vec<f64> = seed
+                .iter()
+                .zip(&m.pinned)
+                .map(|(&v, &p)| if p { 0.0 } else { v })
+                .collect();
+            let mut r = vec![0.0; n];
+            stencil::residual(&s, &x, &b, &mut r);
             (x, r)
         }
-        None => (vec![0.0; n], b.clone()),
+        None => (vec![0.0; n], b),
     };
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
     let tol = 1e-12 * b_norm;
     let max_iters = 10 * n;
     let fine_nodes = n as f64;
     let mut work = 0.0f64;
-    let mut z = vec![0.0; n];
+    let mut ws = Workspace::new(hier)?;
     let mut ap = vec![0.0f64; n];
     let mut rr: f64 = r.iter().map(|v| v * v).sum();
     let mut trace = ResidualTrace::new();
     // The labeled block funnels every exit path through one point so the
     // iteration count and final residual are recorded exactly once.
     let result = 'solve: {
-        if let Err(e) = apply_preconditioner(&mut levels, &r, &mut z, shards, fine_nodes, &mut work)
-        {
+        // z = M⁻¹·r lives in the finest level's `x`.
+        if let Err(e) = apply_preconditioner(&mut ws, &r, fine_nodes, &mut work) {
             break 'solve Err(e);
         }
-        let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-        let mut p = z.clone();
+        let mut rz = dot(&r, ws.fine_x());
+        let mut p = ws.fine_x().to_vec();
         for _ in 0..max_iters {
             if rr.sqrt() <= tol {
                 break 'solve Ok(x);
             }
-            apply(m, &p, &mut ap);
+            let p_ap = stencil::apply_dot(&s, &p, &mut ap);
             work += 2.0; // mat-vec plus the iteration's vector updates
-            let p_ap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
             if !p_ap.is_finite() {
                 break 'solve Err(GridError::NoConvergence {
                     diag: trace.diagnostic(Breakdown::NonFinite {
@@ -746,22 +624,22 @@ pub fn solve_mgcg_warm(
                 });
             }
             let alpha = rz / p_ap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
+            rr = -0.0;
+            for (((xi, ri), &pi), &api) in x.iter_mut().zip(r.iter_mut()).zip(&p).zip(&ap) {
+                *xi += alpha * pi;
+                *ri -= alpha * api;
+                rr += *ri * *ri;
             }
-            rr = r.iter().map(|v| v * v).sum();
             trace.record(rr.sqrt());
-            if let Err(e) =
-                apply_preconditioner(&mut levels, &r, &mut z, shards, fine_nodes, &mut work)
-            {
+            if let Err(e) = apply_preconditioner(&mut ws, &r, fine_nodes, &mut work) {
                 break 'solve Err(e);
             }
-            let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
+            let z = ws.fine_x();
+            let rz_new = dot(&r, z);
             let beta = rz_new / rz;
             rz = rz_new;
-            for i in 0..n {
-                p[i] = z[i] + beta * p[i];
+            for (pi, &zi) in p.iter_mut().zip(z) {
+                *pi = zi + beta * *pi;
             }
         }
         if rr.sqrt() <= tol * 10.0 {
@@ -779,35 +657,23 @@ pub fn solve_mgcg_warm(
     result
 }
 
-/// `z = M⁻¹·r` where `M⁻¹` is one V-cycle from a zero guess on the
-/// correction system `A·z = r`. The cycle's symmetric smoothing order
-/// and near-exact coarse solve make `M` symmetric positive-definite, as
-/// CG requires of its preconditioner.
+/// `a·b`, summed in index order like `Iterator::sum`.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| a * b).sum()
+}
+
+/// `z = M⁻¹·r` into the finest level's `x`, where `M⁻¹` is one V-cycle
+/// from a zero guess on the correction system `A·z = r`. The cycle's
+/// symmetric smoothing order and near-exact coarse solve make `M`
+/// symmetric positive-definite, as CG requires of its preconditioner.
 fn apply_preconditioner(
-    levels: &mut [LevelState],
+    ws: &mut Workspace<'_>,
     r: &[f64],
-    z: &mut [f64],
-    shards: usize,
     fine_nodes: f64,
     work: &mut f64,
 ) -> Result<(), GridError> {
-    {
-        let Some(fine) = levels.first_mut() else {
-            return Err(GridError::BadParameter("multigrid hierarchy is empty"));
-        };
-        for (i, ri) in r.iter().enumerate() {
-            fine.m.injection[i] = -ri; // level convention: A·v = −injection
-            fine.x.set(i, 0.0);
-        }
-    }
-    v_cycle(levels, 0, shards, fine_nodes, work)?;
-    let Some(fine) = levels.first() else {
-        return Err(GridError::BadParameter("multigrid hierarchy is empty"));
-    };
-    for (i, zi) in z.iter_mut().enumerate() {
-        *zi = fine.x.get(i);
-    }
-    Ok(())
+    ws.levels[0].x.fill(0.0);
+    ws.v_cycle(0, r, fine_nodes, work)
 }
 
 #[cfg(test)]
@@ -895,27 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_smoothing_is_bitwise_identical() {
-        let m = loaded(33);
-        let seq = solve_multigrid(&m).unwrap();
-        for shards in [2usize, 3, 7, 16] {
-            assert_eq!(
-                seq,
-                solve_multigrid_sharded(&m, shards).unwrap(),
-                "MG shards={shards}"
-            );
-        }
-        let seq = solve_mgcg(&m).unwrap();
-        for shards in [2usize, 3, 7] {
-            assert_eq!(
-                seq,
-                solve_mgcg_sharded(&m, shards).unwrap(),
-                "MGCG shards={shards}"
-            );
-        }
-    }
-
-    #[test]
     fn off_centre_and_multiple_pins_survive_coarsening() {
         for pins in [vec![(0usize, 0usize)], vec![(1, 2), (31, 30), (16, 0)]] {
             let mut m = MeshProblem::new(33, 33, 1.0);
@@ -952,11 +797,11 @@ mod tests {
     fn warm_start_from_the_solution_takes_zero_cycles() {
         let m = loaded(33);
         let hier = MgHierarchy::new(&m).unwrap();
-        let cold = solve_multigrid_warm(&m, &hier, 1, None).unwrap();
+        let cold = solve_multigrid_warm(&m, &hier, None).unwrap();
         let collector = np_telemetry::Collector::new();
         let warm = {
             let _guard = np_telemetry::install(&collector);
-            solve_multigrid_warm(&m, &hier, 1, Some(&cold)).unwrap()
+            solve_multigrid_warm(&m, &hier, Some(&cold)).unwrap()
         };
         assert_eq!(cold, warm);
         let summary = collector.summary();
@@ -982,7 +827,7 @@ mod tests {
         let m = loaded(17);
         let other = MgHierarchy::new(&loaded(33)).unwrap();
         assert!(matches!(
-            solve_multigrid_warm(&m, &other, 1, None),
+            solve_multigrid_warm(&m, &other, None),
             Err(GridError::BadParameter(_))
         ));
         // Same shape, different pins: still a mismatch.
@@ -991,16 +836,16 @@ mod tests {
         repinned.pinned[extra] = true;
         let hier = MgHierarchy::new(&m).unwrap();
         assert!(matches!(
-            solve_multigrid_warm(&repinned, &hier, 1, None),
+            solve_multigrid_warm(&repinned, &hier, None),
             Err(GridError::BadParameter(_))
         ));
         let short = vec![0.0; 3];
         assert!(matches!(
-            solve_multigrid_warm(&m, &hier, 1, Some(&short)),
+            solve_multigrid_warm(&m, &hier, Some(&short)),
             Err(GridError::BadParameter(_))
         ));
         assert!(matches!(
-            solve_mgcg_warm(&m, &hier, 1, Some(&short)),
+            solve_mgcg_warm(&m, &hier, Some(&short)),
             Err(GridError::BadParameter(_))
         ));
     }

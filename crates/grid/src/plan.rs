@@ -6,7 +6,7 @@
 use crate::analytic::{rail_routing_fraction, required_rail_width, IrBudget};
 use crate::cg::{solve_cg, solve_pcg, solve_pcg_parallel};
 use crate::error::GridError;
-use crate::multigrid::{solve_mgcg_sharded, solve_multigrid_sharded, MgHierarchy};
+use crate::multigrid::{solve_mgcg, solve_multigrid, MgHierarchy};
 use crate::solver::MeshProblem;
 use np_roadmap::{PackagingRoadmap, TechNode};
 use np_units::Microns;
@@ -209,13 +209,12 @@ pub enum SolveStrategy {
     /// Jacobi-preconditioned CG, sharded ([`solve_pcg_parallel`]).
     ParallelCg,
     /// The standalone geometric multigrid V-cycle
-    /// ([`crate::multigrid::solve_multigrid_sharded`]); needs 2^k+1
-    /// mesh dimensions.
+    /// ([`crate::multigrid::solve_multigrid`]); needs 2^k+1 mesh
+    /// dimensions. Always sequential.
     Multigrid,
-    /// Multigrid-preconditioned CG
-    /// ([`crate::multigrid::solve_mgcg_sharded`]); needs 2^k+1 mesh
-    /// dimensions. What [`SolveStrategy::Auto`] picks on large
-    /// compatible meshes.
+    /// Multigrid-preconditioned CG ([`crate::multigrid::solve_mgcg`]);
+    /// needs 2^k+1 mesh dimensions. Always sequential. What
+    /// [`SolveStrategy::Auto`] picks on large compatible meshes.
     MultigridCg,
 }
 
@@ -312,10 +311,9 @@ impl SolvePlan {
     /// least [`AUTO_MULTIGRID_THRESHOLD`] nodes *and* its dimensions fit
     /// the 2^k+1 coarsening ladder.
     ///
-    /// Multigrid smoothing shards drop to 1 under a [`thread_budget`]
-    /// of 1 (same single-CPU reasoning as the CG fallback), but the
-    /// strategy upgrade still happens — MGCG wins on algorithmic work,
-    /// not parallelism.
+    /// The upgrade happens under any [`thread_budget`] — MGCG wins on
+    /// algorithmic work, not parallelism — and the multigrid family
+    /// always runs on one shard.
     pub fn resolve_for(&self, m: &MeshProblem) -> (SolveStrategy, usize) {
         let nodes = m.nx * m.ny;
         let (strategy, shards) = self.resolve(nodes);
@@ -323,8 +321,7 @@ impl SolvePlan {
             && nodes >= AUTO_MULTIGRID_THRESHOLD
             && MgHierarchy::compatible(m.nx, m.ny)
         {
-            let mg_shards = if thread_budget() == 1 { 1 } else { shards };
-            return (SolveStrategy::MultigridCg, mg_shards);
+            return (SolveStrategy::MultigridCg, 1);
         }
         (strategy, shards)
     }
@@ -348,8 +345,8 @@ impl SolvePlan {
                 }
             }
             (SolveStrategy::ParallelCg, shards) => solve_pcg_parallel(m, shards),
-            (SolveStrategy::Multigrid, shards) => solve_multigrid_sharded(m, shards),
-            (SolveStrategy::MultigridCg, shards) => solve_mgcg_sharded(m, shards),
+            (SolveStrategy::Multigrid, _) => solve_multigrid(m),
+            (SolveStrategy::MultigridCg, _) => solve_mgcg(m),
             (SolveStrategy::Auto, _) => unreachable!("resolve never returns Auto"),
         }
     }

@@ -290,8 +290,7 @@ enum SweepStatus {
 /// Same-color nodes never neighbor each other, so every update in this
 /// pass reads only opposite-color values — concurrent band updates of the
 /// same color are independent, and the arithmetic matches the sequential
-/// sweep exactly. With `omega = 1.0` this is one Gauss-Seidel half-sweep,
-/// which is how [`crate::multigrid`] reuses it as the V-cycle smoother.
+/// sweep exactly.
 pub(crate) fn sor_color_pass(
     m: &MeshProblem,
     v: &AtomicF64Vec,
