@@ -629,12 +629,6 @@ fn main() -> ExitCode {
             eprintln!("cannot write bench report to {}: {e}", out.display());
             return ExitCode::FAILURE;
         }
-        if let Some(speedup) = report.speedup("grid.pcg.seq", "grid.pcg.par") {
-            println!(
-                "pcg parallel speedup x{speedup:.2} at the largest shared mesh ({} shards, {} cpus)",
-                report.shards, report.ncpu
-            );
-        }
         if let Some(c) = &report.mg_vs_pcg {
             println!(
                 "mg vs pcg at {n}x{n}: {pcg} pcg iterations vs {mg} mg / {mgcg} mgcg sweep-equivalents (x{ratio:.1})",

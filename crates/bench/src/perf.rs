@@ -4,13 +4,11 @@
 //! Built on the vendored criterion shim ([`criterion::Criterion`]), the
 //! harness times three kernel families:
 //!
-//! * **grid** — sequential and parallel SOR, plain CG, sequential and
-//!   parallel Jacobi-PCG, multigrid and MGCG, and the warm
-//!   [`np_grid::mesh::MeshCache`] path, across bump-cell mesh sizes from
-//!   33 to 1025 nodes per side (each kernel capped at the largest size
-//!   where it finishes in reasonable time — SOR is O(n⁴) and stops at
-//!   129); plus a first-class shard-count sweep of the parallel kernels
-//!   at a fixed mesh;
+//! * **grid** — SOR, plain CG, Jacobi-PCG, multigrid and MGCG, and the
+//!   warm [`np_grid::mesh::MeshCache`] path, across bump-cell mesh sizes
+//!   from 33 to 1025 nodes per side (each kernel capped at the largest
+//!   size where it finishes in reasonable time — SOR is O(n⁴) and stops
+//!   at 129). Every mesh solve is single-threaded;
 //! * **thermal** — the electro-thermal fixed point of
 //!   [`np_thermal::package::Package::electro_thermal_temperature`];
 //! * **sta** — [`np_circuit::sta::TimingContext::analyze`] over a
@@ -34,7 +32,7 @@ use np_circuit::incremental::IncrementalSta;
 use np_circuit::netlist::{GateId, Netlist};
 use np_circuit::sta::TimingContext;
 use np_device::Mosfet;
-use np_grid::cg::{solve_cg, solve_pcg, solve_pcg_parallel};
+use np_grid::cg::{solve_cg, solve_pcg};
 use np_grid::mesh::MeshCache;
 use np_grid::multigrid::{solve_mgcg, solve_multigrid};
 use np_grid::plan::thread_budget;
@@ -49,15 +47,6 @@ use std::time::Instant;
 /// belong to the CG/multigrid families.
 pub const MESH_SIZES: [usize; 6] = [33, 65, 129, 257, 513, 1025];
 
-/// Shard counts the parallel kernels sweep at [`SHARD_SWEEP_MESH`] —
-/// the first-class scaling axis (on a multi-core host the curve shows
-/// real speedup; at ncpu=1 it quantifies the sharding overhead).
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The mesh the shard-count sweep runs on in full mode (quick mode
-/// drops to the smallest mesh).
-pub const SHARD_SWEEP_MESH: usize = 257;
-
 /// Configuration for one harness run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BenchOptions {
@@ -69,13 +58,13 @@ pub struct BenchOptions {
 /// One timed kernel in the report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
-    /// Kernel identifier, e.g. `grid.pcg.par`.
+    /// Kernel identifier, e.g. `grid.pcg.seq`.
     pub name: String,
     /// Mesh nodes per side for grid kernels; `0` for mesh-independent
     /// kernels (thermal, STA).
     pub mesh: usize,
-    /// Shards the kernel ran with (1 for sequential kernels; the
-    /// explicit count for shard-sweep entries).
+    /// Threads the kernel ran with (1 for every kernel but the parallel
+    /// optimizer round).
     pub shards: usize,
     /// Mean wall-clock per iteration, nanoseconds.
     pub mean_ns: f64,
@@ -103,7 +92,8 @@ pub struct MgComparison {
 /// A completed harness run, ready to serialize.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Threads the parallel kernels were sharded across.
+    /// Threads the parallel optimizer round fanned out over (the thread
+    /// budget).
     pub shards: usize,
     /// The machine's available parallelism when the run started.
     pub ncpu: usize,
@@ -116,8 +106,6 @@ pub struct BenchReport {
     pub quick: bool,
     /// Mesh sizes the grid kernels swept.
     pub mesh_sizes: Vec<usize>,
-    /// Shard counts the parallel kernels swept.
-    pub shard_counts: Vec<usize>,
     /// The MG-vs-PCG work comparison, if the grid sweep ran.
     pub mg_vs_pcg: Option<MgComparison>,
     /// Every timed kernel, in sweep order.
@@ -168,11 +156,6 @@ pub fn run(opts: BenchOptions) -> BenchReport {
     } else {
         MESH_SIZES.to_vec()
     };
-    let shard_counts: Vec<usize> = if opts.quick {
-        vec![1, 2]
-    } else {
-        SHARD_COUNTS.to_vec()
-    };
     let mut criterion = Criterion::default();
     let mut kernels = Vec::new();
     // Criterion records consumed into `kernels` so far. Kept separate
@@ -192,27 +175,18 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         let mut group = criterion.benchmark_group(format!("grid/{n}"));
         group.sample_size(samples);
         // Per-kernel size gates: SOR relaxation is O(n⁴) (~3 s at 129
-        // already), plain CG is O(n³) without preconditioning, and the
-        // parallel-PCG barrier path is pure overhead on big meshes at
-        // ncpu=1 — each stops at the largest size it can afford. The
-        // CG/multigrid tail (513/1025) is timed once per solver in the
-        // comparison block below instead of through criterion.
+        // already) and plain CG is O(n³) without preconditioning — each
+        // stops at the largest size it can afford. The CG/multigrid tail
+        // (513/1025) is timed once per solver in the comparison block
+        // below instead of through criterion.
         if n <= 129 {
             group.bench_function("grid.sor.seq", |b| b.iter(|| black_box(&m).solve()));
-            group.bench_function("grid.sor.par", |b| {
-                b.iter(|| black_box(&m).solve_parallel(shards))
-            });
         }
         if n <= 257 {
             group.bench_function("grid.cg.seq", |b| b.iter(|| solve_cg(black_box(&m))));
         }
         if n <= 513 {
             group.bench_function("grid.pcg.seq", |b| b.iter(|| solve_pcg(black_box(&m))));
-        }
-        if n <= 129 {
-            group.bench_function("grid.pcg.par", |b| {
-                b.iter(|| solve_pcg_parallel(black_box(&m), shards))
-            });
         }
         if n <= 513 {
             group.bench_function("grid.mg.seq", |b| b.iter(|| solve_multigrid(black_box(&m))));
@@ -237,51 +211,14 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         group.finish();
         for r in criterion.records().iter().skip(consumed) {
             consumed += 1;
-            let kernel_shards = if r.name.ends_with(".par") { shards } else { 1 };
             kernels.push(KernelResult {
                 name: r.name.clone(),
                 mesh: n,
-                shards: kernel_shards,
+                shards: 1,
                 mean_ns: r.mean_ns,
                 iterations: r.iterations,
             });
         }
-    }
-
-    // The first-class shard axis: the same parallel kernels across an
-    // explicit shard-count sweep at one fixed mesh, so scaling (or, at
-    // ncpu=1, sharding overhead) is measured rather than inferred.
-    {
-        let n = if opts.quick {
-            MESH_SIZES[0]
-        } else {
-            SHARD_SWEEP_MESH
-        };
-        let m = bench_mesh(n);
-        let mut group = criterion.benchmark_group(format!("shards/{n}"));
-        group.sample_size(3);
-        for &s in &shard_counts {
-            group.bench_function(format!("grid.pcg.par/s{s}"), |b| {
-                b.iter(|| solve_pcg_parallel(black_box(&m), s))
-            });
-        }
-        group.finish();
-        for (r, &s) in criterion.records().iter().skip(consumed).zip(&shard_counts) {
-            let name = r
-                .name
-                .split('/')
-                .next()
-                .unwrap_or(r.name.as_str())
-                .to_string();
-            kernels.push(KernelResult {
-                name,
-                mesh: n,
-                shards: s,
-                mean_ns: r.mean_ns,
-                iterations: r.iterations,
-            });
-        }
-        consumed = criterion.records().len();
     }
 
     // The algorithmic comparison at the largest mesh: one timed solve
@@ -424,7 +361,6 @@ pub fn run(opts: BenchOptions) -> BenchReport {
         arch: std::env::consts::ARCH,
         quick: opts.quick,
         mesh_sizes,
-        shard_counts,
         mg_vs_pcg,
         kernels,
     }
@@ -432,26 +368,11 @@ pub fn run(opts: BenchOptions) -> BenchReport {
 
 impl BenchReport {
     /// Mean time of `name` at mesh size `mesh`, if that kernel ran.
-    /// Where both a budget-sharded sweep row and shard-sweep rows exist,
-    /// the sweep row wins (it is pushed first); otherwise the
-    /// lowest-shard-count entry.
     pub fn mean_ns(&self, name: &str, mesh: usize) -> Option<f64> {
         self.kernels
             .iter()
             .find(|k| k.name == name && k.mesh == mesh)
             .map(|k| k.mean_ns)
-    }
-
-    /// Sequential-over-parallel speedup of `seq`/`par` on the largest
-    /// mesh where both ran (values > 1 mean the parallel solver is
-    /// faster).
-    pub fn speedup(&self, seq: &str, par: &str) -> Option<f64> {
-        let mesh = self
-            .mesh_sizes
-            .iter()
-            .rev()
-            .find(|&&m| self.mean_ns(seq, m).is_some() && self.mean_ns(par, m).is_some())?;
-        Some(self.mean_ns(seq, *mesh)? / self.mean_ns(par, *mesh)?)
     }
 
     /// Serializes the report as `nanopower-bench/v1` JSON.
@@ -465,26 +386,6 @@ impl BenchReport {
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         let sizes: Vec<String> = self.mesh_sizes.iter().map(ToString::to_string).collect();
         out.push_str(&format!("  \"mesh_sizes\": [{}],\n", sizes.join(", ")));
-        let shard_axis: Vec<String> = self.shard_counts.iter().map(ToString::to_string).collect();
-        out.push_str(&format!(
-            "  \"shard_counts\": [{}],\n",
-            shard_axis.join(", ")
-        ));
-        if let (Some(sor), Some(pcg)) = (
-            self.speedup("grid.sor.seq", "grid.sor.par"),
-            self.speedup("grid.pcg.seq", "grid.pcg.par"),
-        ) {
-            let mesh = self
-                .mesh_sizes
-                .iter()
-                .rev()
-                .find(|&&m| self.mean_ns("grid.pcg.par", m).is_some())
-                .copied()
-                .unwrap_or(0);
-            out.push_str(&format!(
-                "  \"speedup\": {{\"mesh\": {mesh}, \"sor\": {sor:.3}, \"pcg\": {pcg:.3}}},\n"
-            ));
-        }
         if let Some(c) = &self.mg_vs_pcg {
             out.push_str(&format!(
                 "  \"mg_vs_pcg\": {{\"mesh\": {}, \"pcg_iterations\": {}, \"mg_sweeps_equivalent\": {}, \"mgcg_sweeps_equivalent\": {}, \"fine_sweep_ratio\": {:.2}}},\n",
@@ -715,13 +616,10 @@ mod tests {
     fn quick_run_times_every_kernel_and_serializes() {
         let report = run(BenchOptions { quick: true });
         assert_eq!(report.mesh_sizes, vec![33]);
-        assert_eq!(report.shard_counts, vec![1, 2]);
         for name in [
             "grid.sor.seq",
-            "grid.sor.par",
             "grid.cg.seq",
             "grid.pcg.seq",
-            "grid.pcg.par",
             "grid.mg.seq",
             "grid.mgcg.seq",
             "grid.cache.warm",
@@ -748,16 +646,12 @@ mod tests {
             .kernels
             .iter()
             .any(|k| k.name == "opt.parallel.round" && k.shards == report.shards));
-        // The shard sweep ran the parallel kernel at every count.
-        for &s in &[1usize, 2] {
-            assert!(
-                report
-                    .kernels
-                    .iter()
-                    .any(|k| k.name == "grid.pcg.par" && k.shards == s && k.mean_ns > 0.0),
-                "grid.pcg.par missing at shards={s}"
-            );
-        }
+        // Every grid kernel is single-threaded.
+        assert!(report
+            .kernels
+            .iter()
+            .filter(|k| k.name.starts_with("grid."))
+            .all(|k| k.shards == 1));
         // The comparison block proves the acceptance ratio even in
         // quick mode (the margin grows with mesh size; 33 is its floor).
         let cmp = report.mg_vs_pcg.expect("comparison must run");
@@ -768,10 +662,8 @@ mod tests {
         assert!(cmp.fine_sweep_ratio > 0.0);
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"nanopower-bench/v1\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"shard_counts\": [1, 2]"));
         assert!(json.contains("\"mg_vs_pcg\""));
-        assert!(json.contains("\"grid.pcg.par\""));
+        assert!(json.contains("\"grid.pcg.seq\""));
         assert!(json.contains("\"grid.mg.seq\""));
         assert!(json.contains("\"quick\": true"));
         // Host metadata pins where the numbers came from.

@@ -55,6 +55,7 @@
 //! deadline, not `retries + 1` of them.
 
 use crate::error::Error;
+use np_telemetry::export::json_string;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -564,10 +565,12 @@ fn run_session(jobs: Vec<Job>, workers: usize, policy: RunPolicy, hooks: RunHook
         };
     }
     let workers = workers.clamp(1, total);
-    // Split the machine between engine workers and the grid solver's
-    // shards: with W workers each running jobs that may call a parallel
-    // solve, give every job cores/W solver threads so the two layers of
-    // parallelism don't oversubscribe. Restored when the run ends.
+    // Split the machine between engine workers and the parallel
+    // optimizer (the only reader of the budget; mesh solves are
+    // single-threaded): with W workers each running jobs that may start
+    // an optimizer round, give every job cores/W scoring threads so the
+    // two layers of parallelism don't oversubscribe. Restored when the
+    // run ends.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let _solver_budget = np_grid::plan::scoped_thread_budget((cores / workers).max(1));
     let run_span = np_telemetry::span("engine.run");
@@ -806,7 +809,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// FNV-1a, 64-bit: the digest backing [`JobRecord::digest`].
+/// An FNV-1a-style 64-bit hash: the digest backing
+/// [`JobRecord::digest`].
+///
+/// It starts from the standard FNV-1a offset basis but multiplies by
+/// `0x1000_0000_01B3`, not the standard 64-bit FNV prime
+/// `0x100_0000_01B3` that `np_circuit`'s netlist digest and
+/// `np_opt::parallel` use. The constant is frozen: these digests travel
+/// over the wire, sit in memo spills and journals, and are pinned by
+/// golden files and tests, so "fixing" the prime would invalidate every
+/// stored digest.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -814,25 +826,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x1000_0000_01B3);
     }
     hash
-}
-
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -907,6 +900,15 @@ mod tests {
         assert_eq!(a.records[0].digest(), b.records[0].digest());
         assert_ne!(a.records[0].digest(), a.records[1].digest());
         assert!(a.records[0].digest().unwrap().starts_with("fnv1a:"));
+    }
+
+    #[test]
+    fn fnv1a64_keeps_its_frozen_prime() {
+        // The empty input is the offset basis; one byte already shows the
+        // non-standard prime (standard FNV-1a gives 0xaf63dc4c8601ec8c).
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a64(b"fig5-mesh"), 0x1952_a14b_ba08_e4ca);
     }
 
     #[test]

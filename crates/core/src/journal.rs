@@ -43,6 +43,7 @@
 use crate::engine::{fnv1a64, JobRecord};
 use crate::error::Error;
 use crate::jsonio::{self, Json};
+use np_telemetry::export::json_string;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -297,10 +298,10 @@ fn io_err(path: &Path, op: &str, e: &std::io::Error) -> Error {
 }
 
 fn header_line(config: &JournalConfig) -> String {
-    let names: Vec<String> = config.names.iter().map(|n| jsonio::escape(n)).collect();
+    let names: Vec<String> = config.names.iter().map(|n| json_string(n)).collect();
     format!(
         "{{\"schema\":{},\"csv\":{},\"names\":[{}]}}",
-        jsonio::escape(SCHEMA),
+        json_string(SCHEMA),
         config.csv,
         names.join(",")
     )
@@ -308,7 +309,7 @@ fn header_line(config: &JournalConfig) -> String {
 
 fn entry_line(record: &JobRecord) -> String {
     let mut out = String::from("{");
-    out.push_str(&format!("\"artifact\":{}", jsonio::escape(&record.name)));
+    out.push_str(&format!("\"artifact\":{}", json_string(&record.name)));
     out.push_str(&format!(",\"status\":\"{}\"", record.status()));
     if let Some(digest) = record.digest() {
         out.push_str(&format!(",\"digest\":\"{digest}\""));
@@ -321,8 +322,8 @@ fn entry_line(record: &JobRecord) -> String {
     out.push_str(&format!(",\"attempts\":{}", record.attempts));
     out.push_str(&format!(",\"timed_out\":{}", record.timed_out));
     match &record.outcome {
-        Ok(text) => out.push_str(&format!(",\"output\":{}", jsonio::escape(text))),
-        Err(e) => out.push_str(&format!(",\"error\":{}", jsonio::escape(&e.to_string()))),
+        Ok(text) => out.push_str(&format!(",\"output\":{}", json_string(text))),
+        Err(e) => out.push_str(&format!(",\"error\":{}", json_string(&e.to_string()))),
     }
     out.push('}');
     out

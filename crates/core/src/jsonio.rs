@@ -248,29 +248,10 @@ fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
     }
 }
 
-/// Escapes a string as a JSON string literal (quotes included) — the
-/// one escaper behind the journal and protocol writers.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_telemetry::export::json_string;
 
     #[test]
     fn parses_nested_structures() {
@@ -293,7 +274,7 @@ mod tests {
     #[test]
     fn round_trips_escapes() {
         let nasty = "quote\" slash\\ newline\n tab\t ctrl\u{1}";
-        let v = parse(&format!("{{\"k\": {}}}", escape(nasty))).expect("parses");
+        let v = parse(&format!("{{\"k\": {}}}", json_string(nasty))).expect("parses");
         assert_eq!(v.get("k").and_then(Json::as_str), Some(nasty));
     }
 
@@ -357,10 +338,12 @@ mod tests {
             .unwrap_err()
             .contains("control character"));
         assert!(parse("\"tab\there\"").is_err());
-        // The escaped forms stay legal — that is what `escape` emits.
+        // The escaped forms stay legal — that is what `json_string` emits.
         assert_eq!(parse("\"\\u0000\"").unwrap().as_str(), Some("\u{0}"));
         assert_eq!(
-            parse(&escape("tab\there").to_string()).unwrap().as_str(),
+            parse(&json_string("tab\there").to_string())
+                .unwrap()
+                .as_str(),
             Some("tab\there")
         );
     }

@@ -45,6 +45,7 @@ use crate::engine::JobRecord;
 use crate::error::Error;
 use crate::jsonio::{self, Json};
 use crate::spec::ScenarioSpec;
+use np_telemetry::export::json_string;
 
 /// The protocol schema identifier sent in every hello line.
 pub const SCHEMA: &str = "nanopowerd/v1";
@@ -180,7 +181,7 @@ impl Request {
     pub fn to_json(&self) -> String {
         match self {
             Request::Run(run) => {
-                let names: Vec<String> = run.names.iter().map(|n| jsonio::escape(n)).collect();
+                let names: Vec<String> = run.names.iter().map(|n| json_string(n)).collect();
                 let mut body = format!("{{\"names\": [{}], \"csv\": {}", names.join(", "), run.csv);
                 if !run.specs.is_empty() {
                     let specs: Vec<String> = run.specs.iter().map(ScenarioSpec::to_json).collect();
@@ -404,14 +405,14 @@ impl Response {
         match self {
             Response::Hello(h) => format!(
                 "{{\"hello\": {}, \"artifacts\": {}}}",
-                jsonio::escape(SCHEMA),
+                json_string(SCHEMA),
                 h.artifacts
             ),
             Response::Record(r) => {
                 let mut body = format!(
                     "{{\"name\": {}, \"status\": {}, \"duration_ms\": {:.3}, \"memo\": {}",
-                    jsonio::escape(&r.name),
-                    jsonio::escape(&r.status),
+                    json_string(&r.name),
+                    json_string(&r.status),
                     r.duration_ms,
                     r.memo
                 );
@@ -419,10 +420,10 @@ impl Response {
                     body.push_str(&format!(", \"bytes\": {bytes}"));
                 }
                 if let Some(digest) = &r.digest {
-                    body.push_str(&format!(", \"digest\": {}", jsonio::escape(digest)));
+                    body.push_str(&format!(", \"digest\": {}", json_string(digest)));
                 }
                 if let Some(error) = &r.error {
-                    body.push_str(&format!(", \"error\": {}", jsonio::escape(error)));
+                    body.push_str(&format!(", \"error\": {}", json_string(error)));
                 }
                 body.push('}');
                 format!("{{\"record\": {body}}}")
@@ -490,12 +491,12 @@ impl Response {
             }
             Response::InvalidSpec { field, reason } => format!(
                 "{{\"error\": {{\"kind\": \"invalid_spec\", \"field\": {}, \"reason\": {}}}}}",
-                jsonio::escape(field),
-                jsonio::escape(reason)
+                json_string(field),
+                json_string(reason)
             ),
             Response::Protocol { reason } => format!(
                 "{{\"error\": {{\"kind\": \"protocol\", \"reason\": {}}}}}",
-                jsonio::escape(reason)
+                json_string(reason)
             ),
             Response::Shutdown => "{\"shutdown\": true}".into(),
         }

@@ -44,6 +44,7 @@
 use crate::engine::fnv1a64;
 use crate::error::Error;
 use crate::jsonio::{self, Json};
+use np_telemetry::export::json_string;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::Write;
@@ -393,8 +394,8 @@ fn insert_locked(
 fn spill_line(key: u64, entry: &MemoEntry) -> String {
     format!(
         "{{\"key\":\"{key:016x}\",\"digest\":{},\"output\":{}}}\n",
-        jsonio::escape(&entry.digest),
-        jsonio::escape(&entry.output),
+        json_string(&entry.digest),
+        json_string(&entry.output),
     )
 }
 
@@ -425,7 +426,7 @@ fn rewrite_spill(
     };
     let tmp = path.with_extension("tmp");
     let mut file = File::create(&tmp).map_err(|e| io_err("create", &e))?;
-    let mut text = format!("{{\"schema\":{}}}\n", jsonio::escape(SPILL_SCHEMA));
+    let mut text = format!("{{\"schema\":{}}}\n", json_string(SPILL_SCHEMA));
     for key in order {
         if let Some(entry) = entries.get(key) {
             text.push_str(&spill_line(*key, entry));

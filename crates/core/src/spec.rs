@@ -32,6 +32,7 @@ use crate::engine::fnv1a64;
 use crate::error::Error;
 use crate::jsonio::{self, Json};
 use np_roadmap::TechNode;
+use np_telemetry::export::json_string;
 use np_units::{Celsius, Hertz, Seconds, Volts, Watts};
 use std::fmt;
 
@@ -349,7 +350,7 @@ impl ScenarioSpec {
             ));
         }
         if let Some(c) = &self.chaos {
-            out.push_str(&format!(", \"chaos\": {}", jsonio::escape(c)));
+            out.push_str(&format!(", \"chaos\": {}", json_string(c)));
         }
         out.push('}');
         out

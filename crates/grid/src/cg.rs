@@ -8,28 +8,21 @@
 //! linear algebra itself, not just the physics built on it — and CG is
 //! the faster choice on large meshes.
 //!
-//! Three CG entry points share the iteration core:
+//! Two CG entry points:
 //!
 //! * [`solve_cg`] — plain CG, the historical reference;
 //! * [`solve_pcg`] — Jacobi-preconditioned CG (the standard choice for
 //!   power-grid meshes), with optional warm starts via
 //!   [`solve_pcg_warm`] for repeated solves (see
-//!   [`crate::mesh::MeshCache`]);
-//! * [`solve_pcg_parallel`] — the same preconditioned iteration with the
-//!   vector kernels (mat-vec, dots, axpy) sharded across row bands on
-//!   scoped `std::thread` workers. Partial dot products are reduced in
-//!   fixed shard order, so results are deterministic for a given shard
-//!   count and agree with the sequential solver to solver tolerance.
+//!   [`crate::mesh::MeshCache`]).
 //!
 //! Callers normally pick a method through [`crate::plan::SolvePlan`]
 //! rather than calling a specific solver directly.
 
 use crate::error::GridError;
-use crate::shard::{self, AtomicF64Vec};
 use crate::solver::MeshProblem;
 use crate::stencil::{self, Stencil};
 use np_units::convergence::{Breakdown, ResidualTrace};
-use std::sync::{Barrier, Mutex, PoisonError};
 
 /// Solves the mesh by conjugate gradients.
 ///
@@ -135,8 +128,7 @@ fn cg_iterate(m: &MeshProblem) -> Result<Vec<f64>, GridError> {
 /// Assembling it costs one pass over the mesh; the electro-thermal loop
 /// and the bench harness solve the same mesh shape dozens of times, so
 /// [`crate::mesh::MeshCache`] builds one `PreparedMesh` per mesh and
-/// hands it back to every subsequent [`solve_pcg_warm`]/
-/// [`solve_pcg_parallel_warm`] call.
+/// hands it back to every subsequent [`solve_pcg_warm`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedMesh {
     /// `1 / diag(G)` per node: `1/(g·deg)` at free nodes, `1.0` at
@@ -208,46 +200,35 @@ pub fn solve_pcg_warm(
     x0: Option<&[f64]>,
 ) -> Result<Vec<f64>, GridError> {
     m.validate()?;
-    check_warm_inputs(m, prepared, x0)?;
-    pcg_iterate(m, prepared, x0)
-}
-
-/// Rejects mismatched prepared/warm-start vectors before iterating.
-fn check_warm_inputs(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    x0: Option<&[f64]>,
-) -> Result<(), GridError> {
     let n = m.nx * m.ny;
     if prepared.inv_diag.len() != n {
         return Err(GridError::BadParameter(
             "prepared mesh does not match the problem size",
         ));
     }
-    if let Some(x0) = x0 {
-        if x0.len() != n {
-            return Err(GridError::BadParameter(
-                "warm-start vector must have nx*ny entries",
-            ));
-        }
+    if x0.is_some_and(|x0| x0.len() != n) {
+        return Err(GridError::BadParameter(
+            "warm-start vector must have nx*ny entries",
+        ));
     }
-    Ok(())
+    pcg_iterate(m, prepared, x0)
 }
 
-/// Builds the PCG start state shared by the sequential and parallel
-/// iterations: RHS, (warm-started) solution, residual, preconditioned
-/// residual, and the two scalars `r·z` and `r·r`.
-#[allow(clippy::type_complexity)]
-fn pcg_start(
+/// The Jacobi-PCG iteration.
+fn pcg_iterate(
     m: &MeshProblem,
     prepared: &PreparedMesh,
     x0: Option<&[f64]>,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64, f64, f64) {
+) -> Result<Vec<f64>, GridError> {
+    if m.nx < 2 || m.ny < 2 {
+        return Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
+    }
+    let _span = np_telemetry::span("grid.pcg.solve");
     let n = m.nx * m.ny;
     let b: Vec<f64> = (0..n)
         .map(|i| if m.pinned[i] { 0.0 } else { -m.injection[i] })
         .collect();
-    let (x, r) = match x0 {
+    let (mut x, mut r) = match x0 {
         Some(seed) => {
             let mut x = seed.to_vec();
             for (i, xi) in x.iter_mut().enumerate() {
@@ -261,29 +242,14 @@ fn pcg_start(
         }
         None => (vec![0.0; n], b.clone()),
     };
-    let z: Vec<f64> = r
+    let mut z: Vec<f64> = r
         .iter()
         .zip(&prepared.inv_diag)
         .map(|(r, d)| r * d)
         .collect();
-    let rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-    let rr: f64 = r.iter().map(|v| v * v).sum();
+    let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
+    let mut rr: f64 = r.iter().map(|v| v * v).sum();
     let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-    (b, x, r, z, rz, rr, b_norm)
-}
-
-/// The Jacobi-PCG iteration, sequential.
-fn pcg_iterate(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    if m.nx < 2 || m.ny < 2 {
-        return Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
-    }
-    let _span = np_telemetry::span("grid.pcg.solve");
-    let n = m.nx * m.ny;
-    let (b, mut x, mut r, mut z, mut rz, mut rr, b_norm) = pcg_start(m, prepared, x0);
     if b.iter().all(|&v| v == 0.0) {
         // x = 0 is the exact solution of the pinned SPD system with zero
         // injection. Iterating a warm start toward it instead chases a
@@ -347,243 +313,6 @@ fn pcg_iterate(
     np_telemetry::counter("grid.pcg.iterations", trace.iterations() as u64);
     np_telemetry::value("grid.pcg.final_residual", rr.sqrt());
     result
-}
-
-/// Solves the mesh by Jacobi-preconditioned CG with the vector kernels
-/// sharded across `shards` row bands.
-///
-/// Each iteration runs three barrier-separated phases on persistent
-/// scoped workers — mat-vec + partial `p·Ap`, the x/r/z updates with
-/// partial `r·r`/`r·z`, and the search-direction update — with all
-/// partial dot products reduced in fixed shard order on every worker, so
-/// every worker takes identical convergence decisions and the result is
-/// deterministic for a given shard count. Floating-point association
-/// differs from the sequential solver, so answers agree to solver
-/// tolerance rather than bitwise.
-///
-/// `shards` is clamped to `1..=ny`; one shard falls back to
-/// [`solve_pcg`].
-///
-/// # Errors
-///
-/// Exactly those of [`solve_pcg`].
-pub fn solve_pcg_parallel(m: &MeshProblem, shards: usize) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    let prepared = PreparedMesh::new(m);
-    pcg_parallel_iterate(m, &prepared, shards, None)
-}
-
-/// [`solve_pcg_parallel`] with a reusable [`PreparedMesh`] and an
-/// optional warm start (see [`solve_pcg_warm`]).
-///
-/// # Errors
-///
-/// Those of [`solve_pcg_parallel`], plus [`GridError::BadParameter`]
-/// when `prepared` or `x0` does not match the mesh size.
-pub fn solve_pcg_parallel_warm(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    shards: usize,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    m.validate()?;
-    check_warm_inputs(m, prepared, x0)?;
-    pcg_parallel_iterate(m, prepared, shards, x0)
-}
-
-/// What shard 0 parks for the caller: verdict, iteration count, final
-/// residual norm.
-type PcgOutcome = (Result<(), GridError>, usize, f64);
-
-/// How a parallel PCG worker's iteration loop ended.
-#[derive(Clone, Copy)]
-enum PcgStatus {
-    Converged,
-    NonFinite,
-    Indefinite(f64),
-    Budget,
-}
-
-/// The sharded Jacobi-PCG iteration.
-fn pcg_parallel_iterate(
-    m: &MeshProblem,
-    prepared: &PreparedMesh,
-    shards: usize,
-    x0: Option<&[f64]>,
-) -> Result<Vec<f64>, GridError> {
-    if m.nx < 2 || m.ny < 2 {
-        return Err(GridError::BadParameter("mesh needs at least 2x2 nodes"));
-    }
-    let shards = shard::clamp_shards(shards, m.ny);
-    if shards == 1 {
-        return pcg_iterate(m, prepared, x0);
-    }
-    let _span = np_telemetry::span("grid.pcg.solve_parallel");
-    let (nx, n) = (m.nx, m.nx * m.ny);
-    let (b, x, r, z, rz0, rr0, b_norm) = pcg_start(m, prepared, x0);
-    if b.iter().all(|&v| v == 0.0) {
-        // Same zero-RHS short-circuit as the sequential path: x = 0 is
-        // exact, and a warm start cannot reach the clamped tolerance.
-        return Ok(vec![0.0; n]);
-    }
-    let tol = 1e-12 * b_norm;
-    let max_iters = 10 * n;
-    let xa = AtomicF64Vec::from_slice(&x);
-    let ra = AtomicF64Vec::from_slice(&r);
-    let za = AtomicF64Vec::from_slice(&z);
-    let pa = AtomicF64Vec::from_slice(&z); // p starts as z
-    let apa = AtomicF64Vec::zeros(n);
-    let s_pap = AtomicF64Vec::zeros(shards);
-    let s_rr = AtomicF64Vec::zeros(shards);
-    let s_rz = AtomicF64Vec::zeros(shards);
-    let barrier = Barrier::new(shards);
-    let bands = shard::row_bands(m.ny, shards);
-    // Shard 0 owns the residual trace and parks (verdict, iterations,
-    // final residual) here for the caller to unwrap and report.
-    let outcome: Mutex<Option<PcgOutcome>> = Mutex::new(None);
-    let collector = np_telemetry::current();
-    std::thread::scope(|scope| {
-        for (shard_idx, band) in bands.iter().enumerate() {
-            let nodes = band.start * nx..band.end * nx;
-            let (xa, ra, za, pa, apa) = (&xa, &ra, &za, &pa, &apa);
-            let (s_pap, s_rr, s_rz) = (&s_pap, &s_rr, &s_rz);
-            let (barrier, outcome, collector) = (&barrier, &outcome, &collector);
-            scope.spawn(move || {
-                let _telemetry = collector.as_ref().map(np_telemetry::install);
-                let _shard_span = np_telemetry::shard_span("grid.pcg.shard", shard_idx);
-                let mut trace = ResidualTrace::new();
-                let (mut rz, mut rr) = (rz0, rr0);
-                let mut status = PcgStatus::Budget;
-                for _ in 0..max_iters {
-                    if rr.sqrt() <= tol {
-                        status = PcgStatus::Converged;
-                        break;
-                    }
-                    // Phase 1: mat-vec over the band plus partial p·Ap.
-                    // `pa` is read-only here (cross-band reads are safe);
-                    // `apa` writes stay inside the band.
-                    let mut pap_part = 0.0f64;
-                    for i in nodes.clone() {
-                        let av = apply_row_atomic(m, pa, i);
-                        apa.set(i, av);
-                        pap_part += pa.get(i) * av;
-                    }
-                    s_pap.set(shard_idx, pap_part);
-                    barrier.wait(); // B1: apa + pap partials visible
-                    let p_ap = (0..shards).map(|s| s_pap.get(s)).sum::<f64>();
-                    if !p_ap.is_finite() {
-                        status = PcgStatus::NonFinite;
-                        break;
-                    }
-                    if p_ap <= 0.0 {
-                        status = if rr.sqrt() <= tol * 10.0 {
-                            PcgStatus::Converged
-                        } else {
-                            PcgStatus::Indefinite(p_ap)
-                        };
-                        break;
-                    }
-                    let alpha = rz / p_ap;
-                    // Phase 2: band-local x/r/z updates with partial
-                    // r·r and r·z.
-                    let (mut rr_part, mut rz_part) = (0.0f64, 0.0f64);
-                    for i in nodes.clone() {
-                        xa.set(i, xa.get(i) + alpha * pa.get(i));
-                        let ri = ra.get(i) - alpha * apa.get(i);
-                        ra.set(i, ri);
-                        let zi = ri * prepared.inv_diag[i];
-                        za.set(i, zi);
-                        rr_part += ri * ri;
-                        rz_part += ri * zi;
-                    }
-                    s_rr.set(shard_idx, rr_part);
-                    s_rz.set(shard_idx, rz_part);
-                    barrier.wait(); // B2: updates + partials visible
-                    let rr_new = (0..shards).map(|s| s_rr.get(s)).sum::<f64>();
-                    let rz_new = (0..shards).map(|s| s_rz.get(s)).sum::<f64>();
-                    trace.record(rr_new.sqrt());
-                    let beta = rz_new / rz;
-                    rz = rz_new;
-                    rr = rr_new;
-                    // Phase 3: search-direction update on the band.
-                    for i in nodes.clone() {
-                        pa.set(i, za.get(i) + beta * pa.get(i));
-                    }
-                    // B3: p complete before the next mat-vec reads it
-                    // across bands; also keeps fast shards from
-                    // overwriting the dot-product slots early.
-                    barrier.wait();
-                }
-                if matches!(status, PcgStatus::Budget) && rr.sqrt() <= tol * 10.0 {
-                    status = PcgStatus::Converged;
-                }
-                if shard_idx == 0 {
-                    let result = match status {
-                        PcgStatus::Converged => Ok(()),
-                        PcgStatus::NonFinite => Err(GridError::NoConvergence {
-                            diag: trace.diagnostic(Breakdown::NonFinite {
-                                at_iteration: trace.iterations(),
-                            }),
-                        }),
-                        PcgStatus::Indefinite(curvature) => Err(GridError::NoConvergence {
-                            diag: trace.diagnostic(Breakdown::IndefiniteOperator { curvature }),
-                        }),
-                        PcgStatus::Budget => Err(GridError::NoConvergence {
-                            diag: trace.diagnostic(Breakdown::IterationBudget),
-                        }),
-                    };
-                    let iters = trace.iterations();
-                    *outcome.lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some((result, iters, rr.sqrt()));
-                }
-            });
-        }
-    });
-    // The fallback is unreachable (shard 0 always records before its
-    // scope ends) but kept as a typed error rather than a panic.
-    let (result, iters, final_residual) = outcome
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .unwrap_or((
-            Err(GridError::BadParameter(
-                "parallel PCG worker exited without recording an outcome",
-            )),
-            0,
-            f64::NAN,
-        ));
-    np_telemetry::counter("grid.pcg.iterations", iters as u64);
-    np_telemetry::value("grid.pcg.final_residual", final_residual);
-    result.map(|()| xa.to_vec())
-}
-
-/// One row of the mesh Laplacian `(G·v)_i`, reading `v` through the
-/// shared atomic vector; the same arithmetic as the slice mat-vec.
-#[inline]
-fn apply_row_atomic(m: &MeshProblem, v: &AtomicF64Vec, i: usize) -> f64 {
-    let (nx, ny, g) = (m.nx, m.ny, m.edge_conductance);
-    if m.pinned[i] {
-        return v.get(i); // identity row for pinned nodes
-    }
-    let (x, y) = (i % nx, i / nx);
-    let mut acc = 0.0;
-    let mut deg = 0.0;
-    if x > 0 {
-        acc += if m.pinned[i - 1] { 0.0 } else { v.get(i - 1) };
-        deg += 1.0;
-    }
-    if x + 1 < nx {
-        acc += if m.pinned[i + 1] { 0.0 } else { v.get(i + 1) };
-        deg += 1.0;
-    }
-    if y > 0 {
-        acc += if m.pinned[i - nx] { 0.0 } else { v.get(i - nx) };
-        deg += 1.0;
-    }
-    if y + 1 < ny {
-        acc += if m.pinned[i + nx] { 0.0 } else { v.get(i + nx) };
-        deg += 1.0;
-    }
-    g * (deg * v.get(i) - acc)
 }
 
 #[cfg(test)]
@@ -736,10 +465,6 @@ mod tests {
             pcg_iterate(&empty, &prepared, None),
             Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
         ));
-        assert!(matches!(
-            pcg_parallel_iterate(&empty, &prepared, 2, None),
-            Err(GridError::BadParameter("mesh needs at least 2x2 nodes"))
-        ));
     }
 
     #[test]
@@ -760,35 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pcg_matches_sequential_within_tolerance() {
-        for n in [6usize, 9, 17] {
-            let m = loaded_mesh(n);
-            let seq = solve_pcg(&m).expect("sequential pcg");
-            for shards in [2usize, 3, 7] {
-                let par = solve_pcg_parallel(&m, shards).expect("parallel pcg");
-                for i in 0..seq.len() {
-                    assert!(
-                        (seq[i] - par[i]).abs() <= 1e-9 * (1.0 + seq[i].abs()),
-                        "n={n} shards={shards} node {i}: {} vs {}",
-                        seq[i],
-                        par[i]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_pcg_single_shard_falls_back_to_sequential() {
-        let m = loaded_mesh(9);
-        assert_eq!(
-            solve_pcg_parallel(&m, 1).unwrap(),
-            solve_pcg(&m).unwrap(),
-            "one shard must be the exact sequential iteration"
-        );
-    }
-
-    #[test]
     fn warm_start_from_the_solution_converges_immediately() {
         let m = loaded_mesh(17);
         let prepared = PreparedMesh::new(&m);
@@ -796,10 +492,6 @@ mod tests {
         let warm = solve_pcg_warm(&m, &prepared, Some(&cold)).unwrap();
         for i in 0..cold.len() {
             assert!((warm[i] - cold[i]).abs() <= 1e-9 * (1.0 + cold[i].abs()));
-        }
-        let warm_par = solve_pcg_parallel_warm(&m, &prepared, 3, Some(&cold)).unwrap();
-        for i in 0..cold.len() {
-            assert!((warm_par[i] - cold[i]).abs() <= 1e-9 * (1.0 + cold[i].abs()));
         }
     }
 
@@ -819,10 +511,6 @@ mod tests {
             solve_pcg_warm(&m, &prepared, Some(&short)),
             Err(GridError::BadParameter(_))
         ));
-        assert!(matches!(
-            solve_pcg_parallel_warm(&m, &prepared, 2, Some(&short)),
-            Err(GridError::BadParameter(_))
-        ));
     }
 
     #[test]
@@ -836,23 +524,5 @@ mod tests {
         // An interior free node has degree 4.
         let interior = m.index(1, 1);
         assert!((p.inv_diag()[interior] - 1.0 / (1.3 * 4.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn parallel_pcg_indefinite_operator_reports_breakdown() {
-        use np_units::convergence::Breakdown;
-        let mut m = loaded_mesh(6);
-        m.edge_conductance = -1.0;
-        let prepared = PreparedMesh::new(&m);
-        match pcg_parallel_iterate(&m, &prepared, 2, None) {
-            Err(GridError::NoConvergence { diag }) => {
-                assert!(
-                    matches!(diag.reason, Breakdown::IndefiniteOperator { curvature } if curvature < 0.0),
-                    "got {:?}",
-                    diag.reason
-                );
-            }
-            other => panic!("expected breakdown, got {other:?}"),
-        }
     }
 }

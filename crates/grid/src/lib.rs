@@ -9,9 +9,8 @@
 //!   rail width required for a <10 % drop budget;
 //! * [`solver`] / [`mesh`] — an independent resistive-mesh field solver
 //!   (successive over-relaxation) used to validate the analytic model;
-//! * [`cg`] / [`shard`] — conjugate-gradient solvers (plain and
-//!   Jacobi-preconditioned, sequential and row-band parallel) over the
-//!   same mesh, plus the lock-free sharing primitives they build on;
+//! * [`cg`] — conjugate-gradient solvers (plain and
+//!   Jacobi-preconditioned) over the same mesh;
 //! * [`multigrid`] — the O(N) geometric multigrid V-cycle over the same
 //!   mesh (red-black smoothing, full-weighting restriction, bilinear
 //!   prolongation), standalone or as a CG preconditioner (MGCG);
@@ -19,7 +18,7 @@
 //!   minimum top-metal width) and routing-resource share per node, under
 //!   (a) minimum attainable bump pitch and (b) ITRS pad counts — and the
 //!   [`plan::SolvePlan`] strategy enum that routes a mesh to the right
-//!   solver under the process-wide thread budget;
+//!   solver by size;
 //! * [`transient`] — `L·di/dt` noise from sleep-mode wake-up;
 //! * [`mcml`] — MOS current-mode logic as a current-transient-free
 //!   alternative (ref. \[42\]).
@@ -57,7 +56,6 @@ pub mod multigrid;
 #[doc(hidden)]
 pub mod oracle;
 pub mod plan;
-pub mod shard;
 pub mod solver;
 mod stencil;
 pub mod transient;

@@ -8,7 +8,7 @@
 //! `k_geo` factor.
 
 use crate::analytic::hotspot_current_density;
-use crate::cg::{solve_pcg_parallel_warm, solve_pcg_warm, PreparedMesh};
+use crate::cg::{solve_pcg_warm, PreparedMesh};
 use crate::error::GridError;
 use crate::multigrid::{solve_mgcg_warm, solve_multigrid_warm, MgHierarchy};
 use crate::plan::{SolvePlan, SolveStrategy};
@@ -268,17 +268,10 @@ impl MeshCache {
             injection: vec![entry.i_per_node * scale; n_nodes],
             ..entry.problem.clone()
         };
-        let (strategy, shards) = self.plan.resolve_for(&m);
+        let strategy = self.plan.resolve(&m);
         let v = match strategy {
-            SolveStrategy::ParallelSor => m.solve_parallel(shards)?,
             SolveStrategy::SequentialSor => m.solve()?,
-            SolveStrategy::ParallelCg => {
-                let x0 = entry.warm_cg.as_deref();
-                let v = solve_pcg_parallel_warm(&m, &entry.prepared, shards, x0)?;
-                entry.warm_cg = Some(v.clone());
-                v
-            }
-            // Auto never survives `resolve_for`; SequentialCg takes the
+            // Auto never survives `resolve`; SequentialCg takes the
             // warm-started preconditioned path.
             SolveStrategy::SequentialCg | SolveStrategy::Auto => {
                 let x0 = entry.warm_cg.as_deref();
@@ -588,11 +581,11 @@ mod tests {
         let cg = cache
             .worst_drop_with_resolution(node, pitch, width, res)
             .unwrap();
-        cache.set_plan(SolvePlan::with_strategy(SolveStrategy::Multigrid).with_shards(1));
+        cache.set_plan(SolvePlan::with_strategy(SolveStrategy::Multigrid));
         let mg = cache
             .worst_drop_with_resolution(node, pitch, width, res)
             .unwrap();
-        cache.set_plan(SolvePlan::with_strategy(SolveStrategy::MultigridCg).with_shards(1));
+        cache.set_plan(SolvePlan::with_strategy(SolveStrategy::MultigridCg));
         let mgcg = cache
             .worst_drop_with_resolution(node, pitch, width, res)
             .unwrap();
@@ -623,14 +616,13 @@ mod tests {
 
     #[test]
     fn cache_honours_an_explicit_plan() {
-        let mut cache = MeshCache::with_plan(
-            SolvePlan::with_strategy(SolveStrategy::ParallelSor).with_shards(3),
-        );
+        let mut cache =
+            MeshCache::with_plan(SolvePlan::with_strategy(SolveStrategy::SequentialSor));
         let v = cache
             .worst_drop(TechNode::N35, Microns(80.0), Microns(4.0))
             .unwrap();
         let direct = mesh_worst_drop(TechNode::N35, Microns(80.0), Microns(4.0)).unwrap();
-        // Parallel SOR is bitwise identical to the sequential sweep.
+        // The free function runs the same SOR sweep: bitwise identical.
         assert_eq!(v, direct);
     }
 }

@@ -28,7 +28,8 @@
 //! * [`solve_mgcg`] / [`solve_mgcg_warm`] — CG
 //!   preconditioned by one V-cycle (symmetrized: red-black pre-sweeps,
 //!   black-red post-sweeps, near-exact coarse solve), the robust choice
-//!   [`crate::plan::SolvePlan`] auto-selects on large compatible meshes.
+//!   [`crate::plan::SolvePlan`] auto-selects on compatible meshes from
+//!   65×65 up.
 //!
 //! Dirichlet pins coarsen conservatively: a coarse node is pinned when
 //! *any* fine pin falls in the 3×3 fine neighborhood it represents, so
@@ -538,8 +539,8 @@ pub fn solve_multigrid_warm(
 /// Converges in a near-mesh-independent number of CG iterations (each
 /// O(N)), and tolerates rough patches — irregular pin clusters, strong
 /// local corrections — that can slow the standalone V-cycle, which is
-/// why [`crate::plan::SolvePlan`]'s auto heuristic picks MGCG on large
-/// compatible meshes. Bitwise deterministic, like [`solve_multigrid`].
+/// why [`crate::plan::SolvePlan`]'s auto heuristic picks MGCG on
+/// compatible meshes from 65×65 up. Bitwise deterministic, like [`solve_multigrid`].
 ///
 /// # Errors
 ///

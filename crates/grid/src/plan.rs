@@ -1,10 +1,10 @@
 //! The Fig. 5 study — per-node grid plans under minimum bump pitch
 //! versus ITRS pad counts — plus the [`SolvePlan`] strategy layer that
-//! routes a mesh problem to the right solver under the process-wide
-//! [`thread_budget`].
+//! routes a mesh problem to the right solver by size, and the
+//! process-wide [`thread_budget`] that the parallel optimizer reads.
 
 use crate::analytic::{rail_routing_fraction, required_rail_width, IrBudget};
-use crate::cg::{solve_cg, solve_pcg, solve_pcg_parallel};
+use crate::cg::{solve_cg, solve_pcg};
 use crate::error::GridError;
 use crate::multigrid::{solve_mgcg, solve_multigrid, MgHierarchy};
 use crate::solver::MeshProblem;
@@ -137,26 +137,29 @@ pub fn fig5_series() -> Result<Vec<(GridPlan, GridPlan)>, GridError> {
         .collect()
 }
 
-/// Meshes below this node count solve faster sequentially than the
-/// barrier overhead of sharded workers can recoup (a 128×128 mesh sits
-/// right at the boundary on commodity cores).
-pub const AUTO_PARALLEL_THRESHOLD: usize = 16_384;
+/// Meshes with at least this many nodes (65×65) — when their
+/// dimensions fit the 2^k+1 multigrid ladder — auto-route to MGCG.
+///
+/// Measured on a 2-vCPU x86_64 Linux host with a fresh
+/// [`crate::mesh::MeshCache`] per solve (assembly and hierarchy build
+/// included), CPU ms per solve, Jacobi-PCG vs MGCG: 0.50 vs 0.80 at
+/// 33², 4.95 vs 2.05 at 65², 38 vs 6.7 at 129². The crossover lies
+/// between 33² and 65², and MGCG's O(N) cycle widens its lead with every
+/// further mesh doubling against PCG's O(N^1.5) iteration growth.
+pub const AUTO_MULTIGRID_THRESHOLD: usize = 4_225;
 
-/// Meshes with at least this many nodes (257×257) — when their
-/// dimensions fit the 2^k+1 multigrid ladder — auto-route to MGCG: the
-/// O(N) cycle overtakes Jacobi-PCG's O(N^1.5) iteration growth around
-/// here, and the margin widens by ~2× per further mesh doubling.
-pub const AUTO_MULTIGRID_THRESHOLD: usize = 66_049;
-
-/// The process-wide solver thread budget; `0` means "unset", which
+/// The process-wide thread budget; `0` means "unset", which
 /// resolves to the machine's available parallelism.
 static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
 
-/// The number of threads a parallel solve may use right now.
+/// The number of threads a parallel kernel may use right now. Mesh
+/// solves never read it (every solve runs on one core); the parallel
+/// optimizer (`np_opt::parallel`) sizes its scoring fan-out from it.
 ///
 /// Defaults to [`std::thread::available_parallelism`]; the engine caps
 /// it while worker threads are running (via [`scoped_thread_budget`]) so
-/// engine workers and solver shards don't oversubscribe the machine.
+/// engine workers and the optimizer's threads don't oversubscribe the
+/// machine.
 pub fn thread_budget() -> usize {
     match THREAD_BUDGET.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -169,7 +172,7 @@ pub fn thread_budget() -> usize {
 ///
 /// The budget is process-global: the engine installs one guard around a
 /// whole run, dividing the machine between its own workers and each
-/// worker's solver shards. Nested guards restore in LIFO drop order.
+/// worker's optimizer threads. Nested guards restore in LIFO drop order.
 pub fn scoped_thread_budget(budget: usize) -> ThreadBudgetGuard {
     let previous = THREAD_BUDGET.swap(budget.max(1), Ordering::Relaxed);
     ThreadBudgetGuard { previous }
@@ -188,37 +191,33 @@ impl Drop for ThreadBudgetGuard {
     }
 }
 
-/// Which algorithm a [`SolvePlan`] runs.
+/// Which algorithm a [`SolvePlan`] runs. Every strategy is sequential:
+/// a mesh solve runs on one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolveStrategy {
-    /// Pick per mesh: sequential PCG below [`AUTO_PARALLEL_THRESHOLD`]
-    /// nodes or when the [`thread_budget`] is 1, parallel PCG otherwise
-    /// — upgraded to [`SolveStrategy::MultigridCg`] at
-    /// [`AUTO_MULTIGRID_THRESHOLD`] nodes and above when the mesh
-    /// dimensions fit the 2^k+1 coarsening ladder (see
-    /// [`SolvePlan::resolve_for`]).
+    /// Pick per mesh: [`SolveStrategy::MultigridCg`] from
+    /// [`AUTO_MULTIGRID_THRESHOLD`] nodes up when the mesh dimensions fit
+    /// the 2^k+1 coarsening ladder, Jacobi-preconditioned CG otherwise
+    /// (see [`SolvePlan::resolve`]). The pick depends on the mesh alone,
+    /// never on the host or the [`thread_budget`], so Auto answers are
+    /// bitwise identical everywhere.
     #[default]
     Auto,
     /// The red-black SOR sweep of [`MeshProblem::solve`].
     SequentialSor,
-    /// Row-band-sharded SOR ([`MeshProblem::solve_parallel`]); bitwise
-    /// identical to [`SolveStrategy::SequentialSor`].
-    ParallelSor,
     /// Plain conjugate gradients ([`solve_cg`]).
     SequentialCg,
-    /// Jacobi-preconditioned CG, sharded ([`solve_pcg_parallel`]).
-    ParallelCg,
     /// The standalone geometric multigrid V-cycle
     /// ([`crate::multigrid::solve_multigrid`]); needs 2^k+1 mesh
-    /// dimensions. Always sequential.
+    /// dimensions.
     Multigrid,
     /// Multigrid-preconditioned CG ([`crate::multigrid::solve_mgcg`]);
-    /// needs 2^k+1 mesh dimensions. Always sequential. What
-    /// [`SolveStrategy::Auto`] picks on large compatible meshes.
+    /// needs 2^k+1 mesh dimensions. What [`SolveStrategy::Auto`] picks on
+    /// compatible meshes from [`AUTO_MULTIGRID_THRESHOLD`] nodes up.
     MultigridCg,
 }
 
-/// A solver selection: strategy plus an optional explicit shard count.
+/// A solver selection.
 ///
 /// ```
 /// use np_grid::solver::MeshProblem;
@@ -256,74 +255,37 @@ pub enum SolveStrategy {
 pub struct SolvePlan {
     /// The algorithm to run (or [`SolveStrategy::Auto`]).
     pub strategy: SolveStrategy,
-    /// Shard count for the parallel strategies; `None` uses the
-    /// [`thread_budget`].
-    pub shards: Option<usize>,
 }
 
 impl SolvePlan {
-    /// The default plan: [`SolveStrategy::Auto`] with budget-derived
-    /// shards.
+    /// The default plan: [`SolveStrategy::Auto`].
     pub fn auto() -> Self {
         Self::default()
     }
 
-    /// A plan running `strategy` with budget-derived shards.
+    /// A plan running `strategy`.
     pub fn with_strategy(strategy: SolveStrategy) -> Self {
-        Self {
-            strategy,
-            shards: None,
-        }
+        Self { strategy }
     }
 
-    /// Overrides the shard count for parallel strategies.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// The concrete (strategy, shards) pair this plan uses for a mesh of
-    /// `nodes` total nodes.
+    /// The concrete strategy this plan runs on `m`.
     ///
-    /// Auto falls back to the sequential solver whenever the mesh is
-    /// small, the resolved shard count is 1, *or* the effective
-    /// [`thread_budget`] is 1 — on a single-CPU host the parallel path
-    /// is pure sharding overhead even when the caller explicitly asked
-    /// for multiple shards (measured: `pcg.par`/`sor.par` slower than
-    /// seq in `BENCH_grid.json` at ncpu=1).
-    pub fn resolve(&self, nodes: usize) -> (SolveStrategy, usize) {
-        let shards = self.shards.unwrap_or_else(thread_budget).max(1);
-        let strategy = match self.strategy {
-            SolveStrategy::Auto => {
-                if nodes < AUTO_PARALLEL_THRESHOLD || shards == 1 || thread_budget() == 1 {
-                    SolveStrategy::SequentialCg
-                } else {
-                    SolveStrategy::ParallelCg
-                }
+    /// Auto resolves to [`SolveStrategy::MultigridCg`] when the mesh has
+    /// at least [`AUTO_MULTIGRID_THRESHOLD`] nodes *and* its dimensions
+    /// fit the 2^k+1 coarsening ladder, and to
+    /// [`SolveStrategy::SequentialCg`] (run preconditioned) otherwise.
+    /// Explicit strategies are returned verbatim.
+    pub fn resolve(&self, m: &MeshProblem) -> SolveStrategy {
+        match self.strategy {
+            SolveStrategy::Auto
+                if m.nx * m.ny >= AUTO_MULTIGRID_THRESHOLD
+                    && MgHierarchy::compatible(m.nx, m.ny) =>
+            {
+                SolveStrategy::MultigridCg
             }
+            SolveStrategy::Auto => SolveStrategy::SequentialCg,
             other => other,
-        };
-        (strategy, shards)
-    }
-
-    /// [`SolvePlan::resolve`] with the mesh in hand: Auto additionally
-    /// upgrades to [`SolveStrategy::MultigridCg`] when the mesh has at
-    /// least [`AUTO_MULTIGRID_THRESHOLD`] nodes *and* its dimensions fit
-    /// the 2^k+1 coarsening ladder.
-    ///
-    /// The upgrade happens under any [`thread_budget`] — MGCG wins on
-    /// algorithmic work, not parallelism — and the multigrid family
-    /// always runs on one shard.
-    pub fn resolve_for(&self, m: &MeshProblem) -> (SolveStrategy, usize) {
-        let nodes = m.nx * m.ny;
-        let (strategy, shards) = self.resolve(nodes);
-        if self.strategy == SolveStrategy::Auto
-            && nodes >= AUTO_MULTIGRID_THRESHOLD
-            && MgHierarchy::compatible(m.nx, m.ny)
-        {
-            return (SolveStrategy::MultigridCg, 1);
         }
-        (strategy, shards)
     }
 
     /// Solves `m` with the resolved strategy.
@@ -334,20 +296,18 @@ impl SolvePlan {
     /// [`solve_cg`] / [`solve_pcg`] /
     /// [`crate::multigrid::solve_multigrid`]).
     pub fn solve(&self, m: &MeshProblem) -> Result<Vec<f64>, GridError> {
-        match self.resolve_for(m) {
-            (SolveStrategy::SequentialSor, _) => m.solve(),
-            (SolveStrategy::ParallelSor, shards) => m.solve_parallel(shards),
-            (SolveStrategy::SequentialCg, _) => {
+        match self.resolve(m) {
+            SolveStrategy::SequentialSor => m.solve(),
+            SolveStrategy::SequentialCg => {
                 if self.strategy == SolveStrategy::Auto {
                     solve_pcg(m) // Auto prefers the preconditioned path
                 } else {
                     solve_cg(m)
                 }
             }
-            (SolveStrategy::ParallelCg, shards) => solve_pcg_parallel(m, shards),
-            (SolveStrategy::Multigrid, _) => solve_multigrid(m),
-            (SolveStrategy::MultigridCg, _) => solve_mgcg(m),
-            (SolveStrategy::Auto, _) => unreachable!("resolve never returns Auto"),
+            SolveStrategy::Multigrid => solve_multigrid(m),
+            SolveStrategy::MultigridCg => solve_mgcg(m),
+            SolveStrategy::Auto => unreachable!("resolve never returns Auto"),
         }
     }
 }
@@ -426,68 +386,50 @@ mod tests {
     #[test]
     fn auto_resolves_by_size_and_budget_and_guard_restores() {
         let outer = thread_budget();
-        {
-            let _guard = scoped_thread_budget(8);
-            assert_eq!(thread_budget(), 8);
-            let plan = SolvePlan::auto();
-            assert_eq!(plan.resolve(100), (SolveStrategy::SequentialCg, 8));
-            assert_eq!(
-                plan.resolve(AUTO_PARALLEL_THRESHOLD),
-                (SolveStrategy::ParallelCg, 8)
-            );
-            {
-                let _inner = scoped_thread_budget(1);
+        let plan = SolvePlan::auto();
+        for budget in [1, 2, 8] {
+            let _guard = scoped_thread_budget(budget);
+            assert_eq!(thread_budget(), budget);
+            // The pick depends on the mesh alone, never on the budget.
+            for (n, expected) in [
+                (33, SolveStrategy::SequentialCg),
+                (65, SolveStrategy::MultigridCg),
+                (129, SolveStrategy::MultigridCg),
+                (200, SolveStrategy::SequentialCg),
+                (260, SolveStrategy::SequentialCg),
+            ] {
                 assert_eq!(
-                    plan.resolve(AUTO_PARALLEL_THRESHOLD),
-                    (SolveStrategy::SequentialCg, 1)
-                );
-                // Even explicit multi-shard plans go sequential under a
-                // budget of 1: the parallel path is pure overhead on a
-                // single-CPU host. Explicit non-auto strategies are
-                // still honored verbatim.
-                let sharded = SolvePlan::auto().with_shards(4);
-                assert_eq!(
-                    sharded.resolve(AUTO_PARALLEL_THRESHOLD),
-                    (SolveStrategy::SequentialCg, 4)
-                );
-                let forced = SolvePlan::with_strategy(SolveStrategy::ParallelCg).with_shards(4);
-                assert_eq!(
-                    forced.resolve(AUTO_PARALLEL_THRESHOLD),
-                    (SolveStrategy::ParallelCg, 4)
+                    plan.resolve(&loaded_mesh(n)),
+                    expected,
+                    "{n}² at budget {budget}"
                 );
             }
-            assert_eq!(thread_budget(), 8);
+            {
+                let _inner = scoped_thread_budget(1);
+                assert_eq!(thread_budget(), 1);
+            }
+            assert_eq!(thread_budget(), budget, "inner guard restores");
         }
         assert_eq!(thread_budget(), outer);
     }
 
     #[test]
-    fn explicit_shards_override_the_budget() {
-        let plan = SolvePlan::with_strategy(SolveStrategy::ParallelSor).with_shards(3);
-        assert_eq!(plan.resolve(10_000), (SolveStrategy::ParallelSor, 3));
-    }
-
-    #[test]
     fn auto_upgrades_large_compatible_meshes_to_mgcg() {
         let plan = SolvePlan::auto();
-        // 257x257 fits the ladder and crosses the threshold.
-        let big = loaded_mesh(257);
-        assert_eq!(big.nx * big.ny, AUTO_MULTIGRID_THRESHOLD);
-        let (strategy, _) = plan.resolve_for(&big);
-        assert_eq!(strategy, SolveStrategy::MultigridCg);
-        // A mesh of the same size that misses the 2^k+1 ladder keeps
-        // the CG-family pick.
-        let incompatible = loaded_mesh(260);
-        let (strategy, _) = plan.resolve_for(&incompatible);
-        assert_ne!(strategy, SolveStrategy::MultigridCg);
-        // Small meshes never upgrade.
-        let small = loaded_mesh(33);
-        let (strategy, _) = plan.resolve_for(&small);
-        assert_eq!(strategy, SolveStrategy::SequentialCg);
+        // 65x65 fits the ladder and sits exactly on the threshold.
+        let threshold = loaded_mesh(65);
+        assert_eq!(threshold.nx * threshold.ny, AUTO_MULTIGRID_THRESHOLD);
+        assert_eq!(plan.resolve(&threshold), SolveStrategy::MultigridCg);
+        assert_eq!(plan.resolve(&loaded_mesh(129)), SolveStrategy::MultigridCg);
+        // Meshes that miss the 2^k+1 ladder stay on PCG at every size.
+        for n in [200, 260] {
+            assert_eq!(plan.resolve(&loaded_mesh(n)), SolveStrategy::SequentialCg);
+        }
+        // Ladder meshes below the threshold stay on PCG.
+        assert_eq!(plan.resolve(&loaded_mesh(33)), SolveStrategy::SequentialCg);
         // Explicit strategies are never upgraded.
         let forced = SolvePlan::with_strategy(SolveStrategy::SequentialCg);
-        let (strategy, _) = forced.resolve_for(&big);
-        assert_eq!(strategy, SolveStrategy::SequentialCg);
+        assert_eq!(forced.resolve(&threshold), SolveStrategy::SequentialCg);
     }
 
     #[test]
@@ -499,16 +441,11 @@ mod tests {
         for strategy in [
             SolveStrategy::Auto,
             SolveStrategy::SequentialSor,
-            SolveStrategy::ParallelSor,
             SolveStrategy::SequentialCg,
-            SolveStrategy::ParallelCg,
             SolveStrategy::Multigrid,
             SolveStrategy::MultigridCg,
         ] {
-            let v = SolvePlan::with_strategy(strategy)
-                .with_shards(3)
-                .solve(&m)
-                .unwrap();
+            let v = SolvePlan::with_strategy(strategy).solve(&m).unwrap();
             for (a, b) in v.iter().zip(&reference) {
                 assert!(
                     (a - b).abs() <= 1e-9 * (1.0 + b.abs()),

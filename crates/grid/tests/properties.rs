@@ -1,7 +1,7 @@
 //! Property-based tests on the mesh solver and IR-drop models.
 
 use np_grid::analytic::{required_rail_width, worst_case_drop, IrBudget};
-use np_grid::cg::{solve_pcg, solve_pcg_parallel};
+use np_grid::cg::solve_pcg;
 use np_grid::multigrid::solve_multigrid;
 use np_grid::oracle;
 use np_grid::solver::MeshProblem;
@@ -12,13 +12,6 @@ use proptest::prelude::*;
 
 fn any_node() -> impl Strategy<Value = TechNode> {
     prop::sample::select(TechNode::ALL.to_vec())
-}
-
-/// Shard counts the parallel-equivalence properties sweep: serial
-/// fallback, a couple of awkward splits, and the machine's parallelism.
-fn any_shards() -> impl Strategy<Value = usize> {
-    let ncpu = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    prop::sample::select(vec![1usize, 2, 7, ncpu])
 }
 
 /// A loaded mesh: uniform injection, pin at `(px, py)`.
@@ -106,84 +99,24 @@ proptest! {
         }
     }
 
-    // Parallel SOR shares every arithmetic operation with the sequential
-    // sweep (same-color nodes are independent; the convergence reduction
-    // is an associative max) — so equality is exact, well inside the
-    // 1e-9 relative tolerance the contract demands.
-    #[test]
-    fn parallel_sor_matches_sequential(
-        n in 5usize..20,
-        g in 0.1..10.0f64,
-        load in 1e-4..1e-1f64,
-        px in 0usize..20,
-        py in 0usize..20,
-        shards in any_shards(),
-    ) {
-        let m = loaded_mesh(n, g, load, px, py);
-        let seq = m.solve().unwrap();
-        let par = m.solve_parallel(shards).unwrap();
-        for i in 0..seq.len() {
-            prop_assert!(
-                (seq[i] - par[i]).abs() <= 1e-9 * (1.0 + seq[i].abs()),
-                "shards={shards} node {i}: {} vs {}",
-                seq[i],
-                par[i]
-            );
-        }
-    }
-
-    // Parallel PCG re-associates the dot products, so agreement is to
-    // solver tolerance rather than bitwise.
-    #[test]
-    fn parallel_pcg_matches_sequential(
-        n in 5usize..20,
-        g in 0.1..10.0f64,
-        load in 1e-4..1e-1f64,
-        px in 0usize..20,
-        py in 0usize..20,
-        shards in any_shards(),
-    ) {
-        let m = loaded_mesh(n, g, load, px, py);
-        let seq = solve_pcg(&m).unwrap();
-        let par = solve_pcg_parallel(&m, shards).unwrap();
-        for i in 0..seq.len() {
-            prop_assert!(
-                (seq[i] - par[i]).abs() <= 1e-9 * (1.0 + seq[i].abs()),
-                "shards={shards} node {i}: {} vs {}",
-                seq[i],
-                par[i]
-            );
-        }
-    }
-
     // Every strategy the SolvePlan enum can route to answers the same
     // physics: all agree with the SOR reference within tolerance.
     #[test]
     fn every_solve_plan_strategy_agrees(
         n in 5usize..16,
         load in 1e-4..1e-1f64,
-        shards in any_shards(),
     ) {
         let m = loaded_mesh(n, 1.0, load, n / 2, n / 2);
         let reference = m.solve().unwrap();
-        for strategy in [
-            SolveStrategy::Auto,
-            SolveStrategy::ParallelSor,
-            SolveStrategy::SequentialCg,
-            SolveStrategy::ParallelCg,
-        ] {
-            let v = SolvePlan::with_strategy(strategy)
-                .with_shards(shards)
-                .solve(&m)
-                .unwrap();
+        for strategy in [SolveStrategy::Auto, SolveStrategy::SequentialCg] {
+            let v = SolvePlan::with_strategy(strategy).solve(&m).unwrap();
             // Cross-algorithm comparison (CG-family vs the SOR
             // reference): both stop at their own 1e-12-scaled criteria,
-            // so agreement is to solver accuracy, not parallel-vs-
-            // sequential tightness.
+            // so agreement is to solver accuracy, not bitwise.
             for i in 0..reference.len() {
                 prop_assert!(
                     (reference[i] - v[i]).abs() <= 1e-6 * (1.0 + reference[i].abs()),
-                    "{strategy:?} shards={shards} node {i}: {} vs {}",
+                    "{strategy:?} node {i}: {} vs {}",
                     reference[i],
                     v[i]
                 );
@@ -209,36 +142,33 @@ proptest! {
 }
 
 // A separate block with a lower case count: 257×257 solves are real
-// work, and the property holds per (size, shards) cell rather than
-// needing a dense random sweep.
+// work, and the property holds per mesh size rather than needing a
+// dense random sweep.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // The multigrid family agrees with PCG to 1e-6 at every ladder size
-    // (33/129/257), whatever shard count the plan carries (1/2/NCPU via
-    // `any_shards`; multigrid always runs on one).
+    // (33/129/257).
     #[test]
-    fn multigrid_family_matches_pcg_across_sizes_and_shards(
+    fn multigrid_family_matches_pcg_across_sizes(
         n in prop::sample::select(vec![33usize, 129, 257]),
         g in 0.1..10.0f64,
         load in 1e-4..1e-1f64,
-        shards in any_shards(),
     ) {
         let m = loaded_mesh(n, g, load, n / 2, n / 2);
         let pcg = solve_pcg(&m).unwrap();
-        let plan = |strategy| SolvePlan::with_strategy(strategy).with_shards(shards);
-        let mg = plan(SolveStrategy::Multigrid).solve(&m).unwrap();
-        let mgcg = plan(SolveStrategy::MultigridCg).solve(&m).unwrap();
+        let mg = SolvePlan::with_strategy(SolveStrategy::Multigrid).solve(&m).unwrap();
+        let mgcg = SolvePlan::with_strategy(SolveStrategy::MultigridCg).solve(&m).unwrap();
         for i in 0..pcg.len() {
             prop_assert!(
                 (pcg[i] - mg[i]).abs() <= 1e-6 * (1.0 + pcg[i].abs()),
-                "MG n={n} shards={shards} node {i}: {} vs {}",
+                "MG n={n} node {i}: {} vs {}",
                 pcg[i],
                 mg[i]
             );
             prop_assert!(
                 (pcg[i] - mgcg[i]).abs() <= 1e-6 * (1.0 + pcg[i].abs()),
-                "MGCG n={n} shards={shards} node {i}: {} vs {}",
+                "MGCG n={n} node {i}: {} vs {}",
                 pcg[i],
                 mgcg[i]
             );

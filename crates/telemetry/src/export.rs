@@ -7,8 +7,10 @@
 use crate::collector::{Collector, Summary};
 use std::fmt::Write as _;
 
-/// Escapes a string as a JSON string literal, quotes included.
-pub(crate) fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal, quotes included — the one
+/// escaper behind every JSON writer in the workspace (telemetry exports,
+/// run reports, the journal, the wire protocol and memo spills).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -254,13 +254,14 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
     }
 }
 
-/// Opens a [`Span`] attributed to one shard of a sharded computation,
+/// Opens a [`Span`] attributed to one indexed part of a computation,
 /// named `{name}#{shard}` (inert when no collector is installed, or
 /// under the `off` feature).
 ///
-/// Parallel solvers give each worker its own span this way, so a trace
-/// shows per-shard wall-clock and the flat-text/Chrome exports separate
-/// the shards into distinguishable rows. The name is only allocated when
+/// The multigrid solver gives each level its own span this way
+/// (`grid.mg.level#N`), so a trace shows per-part wall-clock and the
+/// flat-text/Chrome exports separate the parts into distinguishable
+/// rows. The name is only allocated when
 /// a collector is actually listening, so the helper stays free on
 /// un-instrumented runs.
 ///
@@ -273,9 +274,9 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
 /// let c = Collector::new();
 /// {
 ///     let _guard = install(&c);
-///     let _s = shard_span("grid.pcg.shard", 3);
+///     let _s = shard_span("grid.mg.level", 3);
 /// }
-/// assert_eq!(c.summary().spans[0].0, "grid.pcg.shard#3");
+/// assert_eq!(c.summary().spans[0].0, "grid.mg.level#3");
 /// ```
 pub fn shard_span(name: &str, shard: usize) -> Span {
     if cfg!(feature = "off") || current().is_none() {
